@@ -153,8 +153,8 @@ BENCHMARK(BM_AssignStream)
     ->Args({1 << 16, 0})
     ->Args({1 << 16, 1});
 
-// The permuted (corner-turn) path, where the uncached executor copies
-// element by element.
+// The permuted (corner-turn) path: the executor scatters each segment at
+// the receiver stride. range(1) toggles MachineConfig::plan_cache.
 void BM_TransposeStream(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   const bool cached = state.range(1) != 0;
@@ -291,8 +291,8 @@ int run_redist_compare() {
 
 // --collective-compare: the collective-plan-cache A/B experiment. Repeated
 // 8-way vector allreduce + gather over 32 KiB payloads — the regime where
-// the cached executor's pooled buffers and from-bytes combine pay off —
-// with MachineConfig::plan_cache off vs on. Modeled results and final
+// kept schedules and pooled buffers pay off — with MachineConfig::plan_cache
+// off vs on. Modeled results and final
 // values must be bit-identical; the CI perf-smoke job asserts a >= 1.5x
 // host speedup from the emitted records.
 struct CollectiveRun {

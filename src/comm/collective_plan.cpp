@@ -22,10 +22,10 @@ TreeSchedule build_tree_schedule(const std::vector<int>& members, int root) {
     TreeSchedule::Node& nd = s.nodes[static_cast<std::size_t>(me)];
     const int rel = (me - root + n) % n;
 
-    // Reduce: the uncached loop receives children rel + 2^k in ascending
-    // mask order until it hits its own low set bit, then sends the partial
-    // to rel - mask and stops. Replaying the recorded lists in order is
-    // step-identical.
+    // Reduce: receive children rel + 2^k in ascending mask order until
+    // the node's own low set bit, then send the partial to rel - mask.
+    // The executor replays the recorded lists in this order, which fixes
+    // the combine order.
     for (int mask = 1; mask < n; mask <<= 1) {
       if ((rel & mask) != 0) {
         nd.reduce_parent = absolute_rank(rel - mask, root, n);
@@ -83,6 +83,9 @@ void CollectiveCache::check_members(const std::vector<int>& registered,
 std::shared_ptr<const TreeSchedule> CollectiveCache::tree(machine::Machine& m,
                                                           const pgroup::ProcessorGroup& g,
                                                           int root) {
+  if (!m.keeps_plans()) {
+    return std::make_shared<const TreeSchedule>(build_tree_schedule(g.members(), root));
+  }
   const Key key{g.key(), root};
   std::lock_guard<std::mutex> lk(mu_);
   if (auto it = trees_.find(key); it != trees_.end()) {
@@ -99,6 +102,9 @@ std::shared_ptr<const TreeSchedule> CollectiveCache::tree(machine::Machine& m,
 
 std::shared_ptr<const RootedSchedule> CollectiveCache::rooted(
     machine::Machine& m, const pgroup::ProcessorGroup& g, int root) {
+  if (!m.keeps_plans()) {
+    return std::make_shared<const RootedSchedule>(build_rooted_schedule(g.members(), root));
+  }
   const Key key{g.key(), root};
   std::lock_guard<std::mutex> lk(mu_);
   if (auto it = rooted_.find(key); it != rooted_.end()) {

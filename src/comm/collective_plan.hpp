@@ -1,22 +1,24 @@
-// fxpar comm: inspector–executor plan caching for collectives.
+// fxpar comm: inspector–executor schedules for collectives, and the cache
+// that keeps them.
 //
 // Every collective over a processor group walks a fixed communication
 // structure — a binomial tree for broadcast/reduce/allreduce, a rooted
 // star for gather/scatter — that depends only on the group and the
-// (virtual) root. Repeated collectives over the same group (iterative
-// solvers, per-timestep reductions) rebuild that structure on every call.
-// CollectiveCache applies the same inspector–executor split as the dist
-// layer's redistribution PlanCache (dist/plan_cache.hpp): the first call
-// *inspects* (builds the schedule), later calls *execute* a cached one.
-// The cached executor also reuses payload buffers through the machine's
-// pool and combines reductions directly from payload bytes, which is
-// where the measured host-time win comes from.
+// (virtual) root. CollectiveCache applies the same inspector–executor
+// split as the dist layer's redistribution PlanCache (dist/plan_cache.hpp):
+// the builders below *inspect* (derive the schedule) and the collectives in
+// collectives.hpp/.cpp *execute* it — they have no other implementation.
+// With MachineConfig::plan_cache on, the first call builds the schedule
+// and later calls replay the cached one; the executors also reuse payload
+// buffers through the machine's pool and combine reductions directly from
+// payload bytes, which is where the measured host-time win comes from.
+// With it off, every call builds its own schedule (no hit or miss is
+// counted) and the pool keeps no buffers.
 //
-// The cache changes host time only: the cached paths issue exactly the
-// same messages with the same tags and the same modeled charges as the
-// uncached loops, so simulated results — and received payload bytes on
-// every backend — are bit-identical with the cache on or off
-// (MachineConfig::plan_cache gates it; tests/test_plan_cache.cpp holds
+// The switch changes host time only: the same executor issues the same
+// messages with the same tags and the same modeled charges, so simulated
+// results — and received payload bytes on every backend — are
+// bit-identical with the cache on or off (tests/test_plan_cache.cpp holds
 // the parity).
 //
 // Layering: comm sits below dist and cannot see its PlanCache, so the
@@ -41,7 +43,7 @@ namespace fxpar::comm::plan {
 /// root), broadcast (root to leaves) and allreduce (both, root 0). All
 /// ranks are *virtual* ranks of the group — exactly what Context::send /
 /// recv take with the group pushed — and every list is stored in the
-/// order the uncached loop visits it, so replay is order-identical.
+/// order the executor visits it (which fixes the combine order).
 struct TreeSchedule {
   std::vector<int> members;  ///< physical members (collision guard)
   int root = 0;              ///< virtual root rank
@@ -57,7 +59,7 @@ struct TreeSchedule {
 
 /// The rooted star of one (group, root) pair, serving gather,
 /// gather_vectors and scatter_vectors: the non-root members the root
-/// exchanges with, in virtual-rank order (the uncached loop order).
+/// exchanges with, in ascending virtual-rank order.
 struct RootedSchedule {
   std::vector<int> members;  ///< physical members (collision guard)
   int root = 0;              ///< virtual root rank
@@ -87,7 +89,9 @@ class CollectiveCache final : public machine::MachineCacheBase {
   static CollectiveCache& of(machine::Machine& m);
 
   /// The tree schedule of (g, root), building it on a miss. Counts the
-  /// hit/miss on `m` (RunResult::collective_plan_hits / _misses).
+  /// hit/miss on `m` (RunResult::collective_plan_hits / _misses). With
+  /// caching off, builds and returns a schedule without storing or
+  /// counting it (as does rooted()).
   std::shared_ptr<const TreeSchedule> tree(machine::Machine& m,
                                            const pgroup::ProcessorGroup& g, int root);
 

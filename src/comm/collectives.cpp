@@ -9,46 +9,20 @@ Payload broadcast_bytes(Context& ctx, const ProcessorGroup& g, int root, Payload
   const int n = g.size();
   const int me = g.virtual_of(ctx.phys_rank());
   if (n == 1) return bytes;
-  const int rel = detail::relative_rank(me, root, n);
   const std::uint64_t tag = ctx.collective_tag(g);
 
   ctx.push_group(g);
-  if (ctx.config().plan_cache) {
-    // Replay the cached tree: same parent, same children in the same send
-    // order as the loop below, so the payload bytes every member sees are
-    // identical with the cache on or off.
-    const auto sched = plan::CollectiveCache::of(ctx.machine()).tree(ctx.machine(), g, root);
-    const plan::TreeSchedule::Node& nd = sched->nodes[static_cast<std::size_t>(me)];
-    if (nd.bcast_parent >= 0) bytes = ctx.recv(nd.bcast_parent, tag);
-    for (int child : nd.bcast_children) {
-      // Forward pooled copies: the bytes on the wire are identical to the
-      // lvalue send below, but the buffers come from (and return to) the
-      // machine pool. With fresh per-edge allocations, a broadcast-heavy
-      // loop frees parked-pool-sized blocks at the top of the heap every
-      // iteration and glibc hands them back to the kernel, so the cached
-      // leg pays thousands of minor faults per run re-touching them.
-      Payload fwd = ctx.machine().pool_acquire(bytes.size());
-      if (!bytes.empty()) std::memcpy(fwd.data(), bytes.data(), bytes.size());
-      ctx.send(child, tag, std::move(fwd));
-    }
-    ctx.pop_group();
-    return bytes;
-  }
-  // Binomial tree: find this node's parent (highest set bit of rel), receive
-  // from it, then forward to children in decreasing mask order.
-  int high = 1;
-  while (high <= rel) high <<= 1;  // first mask beyond rel's highest bit
-  if (rel != 0) {
-    const int parent = rel & ~(high >> 1);
-    bytes = ctx.recv(detail::absolute_rank(parent, root, n), tag);
-  }
-  for (int mask = high; mask < n; mask <<= 1) {
-    // Only rel==0 reaches masks above its own high bit boundary correctly;
-    // generic form: children are rel | mask for mask > rel's highest bit.
-    const int child = rel | mask;
-    if (child != rel && child < n) {
-      ctx.send(detail::absolute_rank(child, root, n), tag, bytes);
-    }
+  const auto sched = plan::CollectiveCache::of(ctx.machine()).tree(ctx.machine(), g, root);
+  const plan::TreeSchedule::Node& nd = sched->nodes[static_cast<std::size_t>(me)];
+  if (nd.bcast_parent >= 0) bytes = ctx.recv(nd.bcast_parent, tag);
+  for (int child : nd.bcast_children) {
+    // Forward pooled copies. With fresh per-edge allocations, a
+    // broadcast-heavy loop frees parked-pool-sized blocks at the top of the
+    // heap every iteration and glibc hands them back to the kernel, so the
+    // stream pays thousands of minor faults per run re-touching them.
+    Payload fwd = ctx.machine().pool_acquire(bytes.size());
+    if (!bytes.empty()) std::memcpy(fwd.data(), bytes.data(), bytes.size());
+    ctx.send(child, tag, std::move(fwd));
   }
   ctx.pop_group();
   return bytes;

@@ -5,7 +5,10 @@
 // Context::collective_tag, whose per-group counters advance identically on
 // every member. Broadcast and reduce use binomial trees (latency-optimal
 // for small payloads on a Paragon-class machine); gather/scatter are rooted
-// linear exchanges; alltoall is a full pairwise exchange.
+// linear exchanges; alltoall is a full pairwise exchange. The tree and
+// rooted collectives execute schedules from comm::plan::CollectiveCache
+// (collective_plan.hpp): shared across calls when MachineConfig::plan_cache
+// is on, built per call when it is off.
 #pragma once
 
 #include <algorithm>
@@ -29,9 +32,6 @@ using pgroup::ProcessorGroup;
 
 namespace detail {
 
-inline int relative_rank(int v, int root, int n) { return (v - root + n) % n; }
-inline int absolute_rank(int rel, int root, int n) { return (rel + root) % n; }
-
 inline void check_member_root(const Context& ctx, const ProcessorGroup& g, int root) {
   if (!g.contains(ctx.phys_rank())) {
     throw std::logic_error("collective: calling processor is not a group member");
@@ -50,10 +50,9 @@ inline void count_collective(Context& ctx) {
 }
 
 /// Unpacks `bytes` into a vector of T. For double — the dominant element
-/// type of the numeric apps — the cached executors pull the result vector
-/// from the machine's typed scratch pool instead of allocating, keeping a
-/// steady-state collective stream allocation-quiet. The produced values are
-/// identical either way.
+/// type of the numeric apps — the result vector comes from the machine's
+/// typed scratch pool instead of a fresh allocation, keeping a
+/// steady-state collective stream allocation-quiet.
 template <TriviallyPackable T>
 std::vector<T> unpack_vector_pooled(Context& ctx, const Payload& bytes) {
   if constexpr (std::is_same_v<T, double>) {
@@ -98,19 +97,13 @@ template <TriviallyPackable T>
 std::vector<T> broadcast_vector(Context& ctx, const ProcessorGroup& g, int root,
                                 const std::vector<T>& value) {
   const bool at_root = g.virtual_of(ctx.phys_rank()) == root;
-  if (ctx.config().plan_cache) {
-    // Same bytes over the same tree (broadcast_bytes replays the cached
-    // schedule); the pooled pack and the release below only recycle the
-    // buffer allocations.
-    Payload p = at_root ? pack_span_pooled(ctx.machine(), std::span<const T>(value))
-                        : Payload{};
-    Payload b = broadcast_bytes(ctx, g, root, std::move(p));
-    std::vector<T> out = detail::unpack_vector_pooled<T>(ctx, b);
-    ctx.machine().pool_release(std::move(b));
-    return out;
-  }
-  Payload p = at_root ? pack_span(std::span<const T>(value)) : Payload{};
-  return unpack_vector<T>(broadcast_bytes(ctx, g, root, std::move(p)));
+  // The pooled pack and the release below only recycle buffer allocations.
+  Payload p = at_root ? pack_span_pooled(ctx.machine(), std::span<const T>(value))
+                      : Payload{};
+  Payload b = broadcast_bytes(ctx, g, root, std::move(p));
+  std::vector<T> out = detail::unpack_vector_pooled<T>(ctx, b);
+  ctx.machine().pool_release(std::move(b));
+  return out;
 }
 
 /// Binomial-tree reduction to `root`. `op` must be associative and is
@@ -120,42 +113,22 @@ T reduce(Context& ctx, const ProcessorGroup& g, int root, T value, Op op) {
   detail::check_member_root(ctx, g, root);
   trace::ScopedSpan sp_ = ctx.span("reduce", "collective");
   detail::count_collective(ctx);
-  const int n = g.size();
   const int me = g.virtual_of(ctx.phys_rank());
-  const int rel = detail::relative_rank(me, root, n);
   const std::uint64_t tag = ctx.collective_tag(g);
 
   ctx.push_group(g);
-  if (ctx.config().plan_cache) {
-    // Replay the cached tree: children in the recorded (combine) order,
-    // then the parent send — the exact step sequence of the loop below.
-    const auto sched = plan::CollectiveCache::of(ctx.machine()).tree(ctx.machine(), g, root);
-    const auto& nd = sched->nodes[static_cast<std::size_t>(me)];
-    for (int child : nd.reduce_children) {
-      T incoming = unpack_value<T>(ctx.recv(child, tag));
-      value = op(value, incoming);
-      ctx.charge_flops(1);
-    }
-    if (nd.reduce_parent >= 0) ctx.send(nd.reduce_parent, tag, pack_value(value));
-    ctx.pop_group();
-    return (rel == 0) ? value : T{};
+  // Replay the tree: children in the recorded (combine) order, then the
+  // parent send.
+  const auto sched = plan::CollectiveCache::of(ctx.machine()).tree(ctx.machine(), g, root);
+  const auto& nd = sched->nodes[static_cast<std::size_t>(me)];
+  for (int child : nd.reduce_children) {
+    T incoming = unpack_value<T>(ctx.recv(child, tag));
+    value = op(value, incoming);
+    ctx.charge_flops(1);
   }
-  // Children have relative ranks rel + 2^k below the next power of two.
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if ((rel & mask) != 0) {
-      // Send partial result to parent and stop.
-      ctx.send(detail::absolute_rank(rel - mask, root, n), tag, pack_value(value));
-      break;
-    }
-    const int child = rel + mask;
-    if (child < n) {
-      T incoming = unpack_value<T>(ctx.recv(detail::absolute_rank(child, root, n), tag));
-      value = op(value, incoming);
-      ctx.charge_flops(1);
-    }
-  }
+  if (nd.reduce_parent >= 0) ctx.send(nd.reduce_parent, tag, pack_value(value));
   ctx.pop_group();
-  return (rel == 0) ? value : T{};
+  return (me == root) ? value : T{};
 }
 
 /// Reduction followed by broadcast; every member returns the result.
@@ -173,67 +146,39 @@ std::vector<T> reduce_vector(Context& ctx, const ProcessorGroup& g, int root,
   detail::check_member_root(ctx, g, root);
   trace::ScopedSpan sp_ = ctx.span("reduce_vector", "collective");
   detail::count_collective(ctx);
-  const int n = g.size();
   const int me = g.virtual_of(ctx.phys_rank());
-  const int rel = detail::relative_rank(me, root, n);
   const std::uint64_t tag = ctx.collective_tag(g);
 
   ctx.push_group(g);
-  if (ctx.config().plan_cache) {
-    // Replay the cached tree. The executor combines straight from payload
-    // bytes (no per-child unpack allocation) and recycles every buffer
-    // through the machine pool; combine order, charges and the produced
-    // bytes are identical to the loop below.
-    const auto sched = plan::CollectiveCache::of(ctx.machine()).tree(ctx.machine(), g, root);
-    const auto& nd = sched->nodes[static_cast<std::size_t>(me)];
-    for (int child : nd.reduce_children) {
-      Payload in = ctx.recv(child, tag);
-      if (in.size() % sizeof(T) != 0) {
-        // Matches what unpack_vector would throw on this payload.
-        throw std::invalid_argument(
-            "unpack_vector: payload size not a multiple of element size");
-      }
-      if (in.size() / sizeof(T) != value.size()) {
-        ctx.pop_group();
-        throw std::invalid_argument("reduce_vector: length mismatch between members");
-      }
-      combine_packed(std::span<T>(value), in, op);
-      ctx.charge_flops(static_cast<double>(value.size()));
-      ctx.machine().pool_release(std::move(in));
+  // Replay the tree. The executor combines straight from payload bytes (no
+  // per-child unpack allocation) and recycles every buffer through the
+  // machine pool.
+  const auto sched = plan::CollectiveCache::of(ctx.machine()).tree(ctx.machine(), g, root);
+  const auto& nd = sched->nodes[static_cast<std::size_t>(me)];
+  for (int child : nd.reduce_children) {
+    Payload in = ctx.recv(child, tag);
+    if (in.size() % sizeof(T) != 0) {
+      throw std::invalid_argument(
+          "unpack_vector: payload size not a multiple of element size");
     }
-    if (nd.reduce_parent >= 0) {
-      ctx.send(nd.reduce_parent, tag,
-               pack_span_pooled(ctx.machine(), std::span<const T>(value)));
+    if (in.size() / sizeof(T) != value.size()) {
+      ctx.pop_group();
+      throw std::invalid_argument("reduce_vector: length mismatch between members");
     }
-    ctx.pop_group();
-    if (rel != 0) {
-      // The moved-in operand is dead on non-roots; recycle its allocation
-      // for the next collective's result vector.
-      detail::release_vector_pooled<T>(ctx, std::move(value));
-      return {};
-    }
-    return value;
+    combine_packed(std::span<T>(value), in, op);
+    ctx.charge_flops(static_cast<double>(value.size()));
+    ctx.machine().pool_release(std::move(in));
   }
-  for (int mask = 1; mask < n; mask <<= 1) {
-    if ((rel & mask) != 0) {
-      ctx.send(detail::absolute_rank(rel - mask, root, n), tag,
-               pack_span(std::span<const T>(value)));
-      break;
-    }
-    const int child = rel + mask;
-    if (child < n) {
-      std::vector<T> incoming =
-          unpack_vector<T>(ctx.recv(detail::absolute_rank(child, root, n), tag));
-      if (incoming.size() != value.size()) {
-        ctx.pop_group();
-        throw std::invalid_argument("reduce_vector: length mismatch between members");
-      }
-      for (std::size_t i = 0; i < value.size(); ++i) value[i] = op(value[i], incoming[i]);
-      ctx.charge_flops(static_cast<double>(value.size()));
-    }
+  if (nd.reduce_parent >= 0) {
+    ctx.send(nd.reduce_parent, tag, pack_span_pooled(ctx.machine(), std::span<const T>(value)));
   }
   ctx.pop_group();
-  if (rel != 0) return {};
+  if (me != root) {
+    // The moved-in operand is dead on non-roots; recycle its allocation
+    // for the next collective's result vector.
+    detail::release_vector_pooled<T>(ctx, std::move(value));
+    return {};
+  }
   return value;
 }
 
@@ -245,7 +190,7 @@ std::vector<T> allreduce_vector(Context& ctx, const ProcessorGroup& g, std::vect
   std::vector<T> out = broadcast_vector(ctx, g, 0, total);
   // The root's reduction total has been packed into the broadcast; its
   // allocation feeds the next round (non-roots hold an empty vector here).
-  if (ctx.config().plan_cache) detail::release_vector_pooled<T>(ctx, std::move(total));
+  detail::release_vector_pooled<T>(ctx, std::move(total));
   return out;
 }
 
@@ -308,25 +253,11 @@ std::vector<T> gather(Context& ctx, const ProcessorGroup& g, int root, const T& 
   const std::uint64_t tag = ctx.collective_tag(g);
   ctx.push_group(g);
   std::vector<T> out;
-  if (ctx.config().plan_cache) {
-    const auto sched = plan::CollectiveCache::of(ctx.machine()).rooted(ctx.machine(), g, root);
-    if (me == root) {
-      out.resize(static_cast<std::size_t>(n));
-      out[static_cast<std::size_t>(root)] = value;
-      for (int v : sched->peers) {
-        out[static_cast<std::size_t>(v)] = unpack_value<T>(ctx.recv(v, tag));
-      }
-    } else {
-      ctx.send(root, tag, pack_value(value));
-    }
-    ctx.pop_group();
-    return out;
-  }
+  const auto sched = plan::CollectiveCache::of(ctx.machine()).rooted(ctx.machine(), g, root);
   if (me == root) {
     out.resize(static_cast<std::size_t>(n));
     out[static_cast<std::size_t>(root)] = value;
-    for (int v = 0; v < n; ++v) {
-      if (v == root) continue;
+    for (int v : sched->peers) {
       out[static_cast<std::size_t>(v)] = unpack_value<T>(ctx.recv(v, tag));
     }
   } else {
@@ -348,61 +279,46 @@ std::vector<T> gather_vectors(Context& ctx, const ProcessorGroup& g, int root,
   const std::uint64_t tag = ctx.collective_tag(g);
   ctx.push_group(g);
   std::vector<T> out;
-  if (ctx.config().plan_cache) {
-    // Cached executor: receive every part (same virtual-rank order as the
-    // loop below), then concatenate with a single allocation instead of n
-    // growing inserts; spent payloads go back to the machine pool. The
-    // concatenated bytes are identical.
-    const auto sched = plan::CollectiveCache::of(ctx.machine()).rooted(ctx.machine(), g, root);
-    if (me == root) {
-      std::vector<Payload> parts;
-      parts.reserve(sched->peers.size());
-      std::size_t total_bytes = value.size() * sizeof(T);
-      for (int v : sched->peers) {
-        Payload p = ctx.recv(v, tag);
-        if (p.size() % sizeof(T) != 0) {
-          // Matches what unpack_vector would throw on this payload.
-          throw std::invalid_argument(
-              "unpack_vector: payload size not a multiple of element size");
-        }
-        total_bytes += p.size();
-        parts.push_back(std::move(p));
-      }
-      if constexpr (std::is_same_v<T, double>) {
-        out = ctx.machine().double_acquire(total_bytes / sizeof(T));
-      } else {
-        out.resize(total_bytes / sizeof(T));
-      }
-      std::size_t off = 0;
-      std::size_t pi = 0;
-      auto* dst = reinterpret_cast<std::byte*>(out.data());
-      for (int v = 0; v < n; ++v) {
-        if (v == root) {
-          if (!value.empty()) {
-            std::memcpy(dst + off, value.data(), value.size() * sizeof(T));
-          }
-          off += value.size() * sizeof(T);
-        } else {
-          Payload& p = parts[pi++];
-          if (!p.empty()) std::memcpy(dst + off, p.data(), p.size());
-          off += p.size();
-          ctx.machine().pool_release(std::move(p));
-        }
-      }
-    } else {
-      ctx.send(root, tag, pack_span_pooled(ctx.machine(), std::span<const T>(value)));
-    }
-    ctx.pop_group();
-    return out;
-  }
+  // Receive every part (virtual-rank order), then concatenate with a
+  // single allocation instead of n growing inserts; spent payloads go back
+  // to the machine pool.
+  const auto sched = plan::CollectiveCache::of(ctx.machine()).rooted(ctx.machine(), g, root);
   if (me == root) {
+    std::vector<Payload> parts;
+    parts.reserve(sched->peers.size());
+    std::size_t total_bytes = value.size() * sizeof(T);
+    for (int v : sched->peers) {
+      Payload p = ctx.recv(v, tag);
+      if (p.size() % sizeof(T) != 0) {
+        throw std::invalid_argument(
+            "unpack_vector: payload size not a multiple of element size");
+      }
+      total_bytes += p.size();
+      parts.push_back(std::move(p));
+    }
+    if constexpr (std::is_same_v<T, double>) {
+      out = ctx.machine().double_acquire(total_bytes / sizeof(T));
+    } else {
+      out.resize(total_bytes / sizeof(T));
+    }
+    std::size_t off = 0;
+    std::size_t pi = 0;
+    auto* dst = reinterpret_cast<std::byte*>(out.data());
     for (int v = 0; v < n; ++v) {
-      std::vector<T> part =
-          (v == root) ? value : unpack_vector<T>(ctx.recv(v, tag));
-      out.insert(out.end(), part.begin(), part.end());
+      if (v == root) {
+        if (!value.empty()) {
+          std::memcpy(dst + off, value.data(), value.size() * sizeof(T));
+        }
+        off += value.size() * sizeof(T);
+      } else {
+        Payload& p = parts[pi++];
+        if (!p.empty()) std::memcpy(dst + off, p.data(), p.size());
+        off += p.size();
+        ctx.machine().pool_release(std::move(p));
+      }
     }
   } else {
-    ctx.send(root, tag, pack_span(std::span<const T>(value)));
+    ctx.send(root, tag, pack_span_pooled(ctx.machine(), std::span<const T>(value)));
   }
   ctx.pop_group();
   return out;
@@ -420,39 +336,22 @@ std::vector<T> scatter_vectors(Context& ctx, const ProcessorGroup& g, int root,
   const std::uint64_t tag = ctx.collective_tag(g);
   ctx.push_group(g);
   std::vector<T> mine;
-  if (ctx.config().plan_cache) {
-    const auto sched = plan::CollectiveCache::of(ctx.machine()).rooted(ctx.machine(), g, root);
-    if (me == root) {
-      if (static_cast<int>(parts.size()) != n) {
-        ctx.pop_group();
-        throw std::invalid_argument("scatter_vectors: need one part per member");
-      }
-      for (int v : sched->peers) {
-        ctx.send(v, tag,
-                 pack_span_pooled(ctx.machine(),
-                                  std::span<const T>(parts[static_cast<std::size_t>(v)])));
-      }
-      mine = parts[static_cast<std::size_t>(root)];
-    } else {
-      Payload p = ctx.recv(root, tag);
-      mine = unpack_vector<T>(p);
-      ctx.machine().pool_release(std::move(p));
-    }
-    ctx.pop_group();
-    return mine;
-  }
+  const auto sched = plan::CollectiveCache::of(ctx.machine()).rooted(ctx.machine(), g, root);
   if (me == root) {
     if (static_cast<int>(parts.size()) != n) {
       ctx.pop_group();
       throw std::invalid_argument("scatter_vectors: need one part per member");
     }
-    for (int v = 0; v < n; ++v) {
-      if (v == root) continue;
-      ctx.send(v, tag, pack_span(std::span<const T>(parts[static_cast<std::size_t>(v)])));
+    for (int v : sched->peers) {
+      ctx.send(v, tag,
+               pack_span_pooled(ctx.machine(),
+                                std::span<const T>(parts[static_cast<std::size_t>(v)])));
     }
     mine = parts[static_cast<std::size_t>(root)];
   } else {
-    mine = unpack_vector<T>(ctx.recv(root, tag));
+    Payload p = ctx.recv(root, tag);
+    mine = unpack_vector<T>(p);
+    ctx.machine().pool_release(std::move(p));
   }
   ctx.pop_group();
   return mine;

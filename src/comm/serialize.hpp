@@ -49,7 +49,7 @@ Payload pack_span(std::span<const T> s) {
 
 /// pack_span through the machine's payload pool: same bytes, but reuses a
 /// pooled allocation — and, for a same-size buffer, skips the value-init
-/// memset a fresh Payload pays. Cached collective paths use this so
+/// memset a fresh Payload pays. The collective executors use this so
 /// repeated calls stop allocating; the produced payload is byte-identical
 /// to pack_span's.
 template <TriviallyPackable T>

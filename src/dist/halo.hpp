@@ -11,20 +11,19 @@
 // Blocks narrower than the halo are handled: a processor may receive rows
 // from beyond its immediate neighbours.
 //
-// With MachineConfig::plan_cache set (the default) the who-needs-what
-// analysis runs once per (layout, halo) pair and is replayed from the
-// machine-wide plan cache; messages, charges and results are identical
+// The who-needs-what analysis is the inspector (build_halo_schedule in
+// plan_cache.hpp); the exchange below only replays its schedule. With
+// MachineConfig::plan_cache on (the default) the schedule is built once per
+// (layout, halo) pair and shared machine-wide; with it off each call
+// builds its own and drops it. Messages, charges and results are identical
 // either way.
 #pragma once
 
-#include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstring>
-#include <utility>
+#include <stdexcept>
 #include <vector>
 
-#include "comm/serialize.hpp"
 #include "dist/dist_array.hpp"
 #include "dist/plan_cache.hpp"
 #include "machine/context.hpp"
@@ -51,136 +50,57 @@ HaloRows<T> exchange_row_halo_impl(machine::Context& ctx, const DistArray<T>& a,
     throw std::invalid_argument("exchange_row_halo: layout must be (*, BLOCK-like, *)");
   }
   const pgroup::ProcessorGroup& g = lay.group();
-  const std::int64_t planes = lay.extent(0), H = lay.extent(1), W = lay.extent(2);
+  const std::int64_t planes = lay.extent(0), W = lay.extent(2);
   const int me = a.my_vrank();
   const std::uint64_t tag = ctx.collective_tag(g);
 
-  if (ctx.config().plan_cache) {
-    const auto sched = plan::PlanCache::of(ctx.machine()).halo(ctx.machine(), lay, halo);
-    const plan::HaloSchedule::Member& mp = sched->members[static_cast<std::size_t>(me)];
-    const std::int64_t rows_mine = mp.my_hi - mp.my_lo;
-    const std::size_t row_bytes = static_cast<std::size_t>(W) * sizeof(T);
-    const T* local = a.local().data();
-    for (const plan::HaloSchedule::Send& snd : mp.sends) {
-      machine::Payload buf = ctx.machine().pool_acquire(
-          snd.local_rows.size() * static_cast<std::size_t>(planes) * row_bytes);
-      std::byte* outp = buf.data();
-      for (std::int64_t lr : snd.local_rows) {
-        for (std::int64_t d = 0; d < planes; ++d) {
-          std::memcpy(outp, local + (d * rows_mine + lr) * W, row_bytes);
-          outp += row_bytes;
-        }
-      }
-      ctx.charge_mem_bytes(static_cast<double>(buf.size()));
-      ctx.send_phys(g.physical(snd.dst_vrank), tag, std::move(buf));
-    }
-
-    HaloRows<T> out;
-    if (mp.my_lo == mp.my_hi) return out;
-    out.first_above = mp.first_above;
-    out.n_above = mp.n_above;
-    out.first_below = mp.first_below;
-    out.n_below = mp.n_below;
-    out.above.assign(static_cast<std::size_t>(planes * out.n_above * W), T{});
-    out.below.assign(static_cast<std::size_t>(planes * out.n_below * W), T{});
-    for (const plan::HaloSchedule::Recv& rcv : mp.recvs) {
-      machine::Payload data = ctx.recv_phys(g.physical(rcv.src_vrank), tag);
-      if (data.size() != rcv.rows.size() * static_cast<std::size_t>(planes) * row_bytes) {
-        throw std::logic_error("exchange_row_halo: payload size does not match schedule");
-      }
-      ctx.charge_mem_bytes(static_cast<double>(data.size()));
-      const std::byte* inp = data.data();
-      for (std::int64_t r : rcv.rows) {
-        for (std::int64_t d = 0; d < planes; ++d) {
-          T* dstrow = r < mp.my_lo
-                          ? out.above.data() + (d * out.n_above + (r - out.first_above)) * W
-                          : out.below.data() + (d * out.n_below + (r - out.first_below)) * W;
-          std::memcpy(dstrow, inp, row_bytes);
-          inp += row_bytes;
-        }
-      }
-      ctx.machine().pool_release(std::move(data));
-    }
-    return out;
-  }
-
-  auto rows_of = [&](int v) -> std::pair<std::int64_t, std::int64_t> {
-    const auto runs = lay.owned_runs(v, 1);
-    if (runs.empty()) return {0, 0};
-    return {runs.front().start, runs.front().start + runs.front().len};
-  };
-  const auto [my_lo, my_hi] = rows_of(me);
-
-  auto ghost_need = [&](int v) {
-    const auto [lo, hi] = rows_of(v);
-    std::vector<std::int64_t> need;
-    if (lo == hi) return need;
-    for (std::int64_t r = std::max<std::int64_t>(0, lo - halo); r < lo; ++r) need.push_back(r);
-    for (std::int64_t r = hi; r < std::min(H, hi + halo); ++r) need.push_back(r);
-    return need;
-  };
-
+  const auto sched = plan::PlanCache::of(ctx.machine()).halo(ctx.machine(), lay, halo);
+  const plan::HaloSchedule::Member& mp = sched->members[static_cast<std::size_t>(me)];
+  const std::int64_t rows_mine = mp.my_hi - mp.my_lo;
+  const std::size_t row_bytes = static_cast<std::size_t>(W) * sizeof(T);
+  const T* local = a.local().data();
   // Send phase: one message per consumer holding all of my rows it needs,
   // plane-major per row, in the consumer's need order.
-  for (int v = 0; v < g.size(); ++v) {
-    if (v == me) continue;
-    std::vector<T> buf;
-    for (std::int64_t r : ghost_need(v)) {
-      if (r < my_lo || r >= my_hi) continue;
+  for (const plan::HaloSchedule::Send& snd : mp.sends) {
+    machine::Payload buf = ctx.machine().pool_acquire(
+        snd.local_rows.size() * static_cast<std::size_t>(planes) * row_bytes);
+    std::byte* outp = buf.data();
+    for (std::int64_t lr : snd.local_rows) {
       for (std::int64_t d = 0; d < planes; ++d) {
-        const T* row = a.local().data() +
-                       ((d * (my_hi - my_lo) + (r - my_lo)) * W);
-        buf.insert(buf.end(), row, row + W);
+        std::memcpy(outp, local + (d * rows_mine + lr) * W, row_bytes);
+        outp += row_bytes;
       }
     }
-    if (!buf.empty()) {
-      ctx.charge_mem_bytes(static_cast<double>(buf.size() * sizeof(T)));
-      ctx.send_phys(g.physical(v), tag, comm::pack_span(std::span<const T>(buf)));
-    }
+    ctx.charge_mem_bytes(static_cast<double>(buf.size()));
+    ctx.send_phys(g.physical(snd.dst_vrank), tag, std::move(buf));
   }
 
   // Receive phase: my ghost rows grouped by owner, ascending owner order.
   HaloRows<T> out;
-  if (my_lo == my_hi) return out;
-  out.first_above = std::max<std::int64_t>(0, my_lo - halo);
-  out.n_above = my_lo - out.first_above;
-  out.first_below = my_hi;
-  out.n_below = std::min(H, my_hi + halo) - my_hi;
+  if (mp.my_lo == mp.my_hi) return out;
+  out.first_above = mp.first_above;
+  out.n_above = mp.n_above;
+  out.first_below = mp.first_below;
+  out.n_below = mp.n_below;
   out.above.assign(static_cast<std::size_t>(planes * out.n_above * W), T{});
   out.below.assign(static_cast<std::size_t>(planes * out.n_below * W), T{});
-
-  std::vector<std::pair<int, std::int64_t>> by_owner;  // (owner vrank, row)
-  for (std::int64_t r : ghost_need(me)) {
-    const std::array<std::int64_t, 3> gi{0, r, 0};
-    by_owner.push_back({lay.owner_of(gi), r});
-  }
-  std::stable_sort(by_owner.begin(), by_owner.end(),
-                   [](const auto& x, const auto& y) { return x.first < y.first; });
-  std::size_t i = 0;
-  while (i < by_owner.size()) {
-    const int owner = by_owner[i].first;
-    std::vector<std::int64_t> rows;
-    while (i < by_owner.size() && by_owner[i].first == owner) {
-      rows.push_back(by_owner[i].second);
-      ++i;
+  for (const plan::HaloSchedule::Recv& rcv : mp.recvs) {
+    machine::Payload data = ctx.recv_phys(g.physical(rcv.src_vrank), tag);
+    if (data.size() != rcv.rows.size() * static_cast<std::size_t>(planes) * row_bytes) {
+      throw std::logic_error("exchange_row_halo: payload size does not match schedule");
     }
-    auto data = comm::unpack_vector<T>(ctx.recv_phys(g.physical(owner), tag));
-    ctx.charge_mem_bytes(static_cast<double>(data.size() * sizeof(T)));
-    std::size_t pos = 0;
-    for (std::int64_t r : rows) {
+    ctx.charge_mem_bytes(static_cast<double>(data.size()));
+    const std::byte* inp = data.data();
+    for (std::int64_t r : rcv.rows) {
       for (std::int64_t d = 0; d < planes; ++d) {
-        for (std::int64_t j = 0; j < W; ++j) {
-          const T v = data[pos++];
-          if (r < my_lo) {
-            out.above[static_cast<std::size_t>((d * out.n_above + (r - out.first_above)) * W +
-                                               j)] = v;
-          } else {
-            out.below[static_cast<std::size_t>((d * out.n_below + (r - out.first_below)) * W +
-                                               j)] = v;
-          }
-        }
+        T* dstrow = r < mp.my_lo
+                        ? out.above.data() + (d * out.n_above + (r - out.first_above)) * W
+                        : out.below.data() + (d * out.n_below + (r - out.first_below)) * W;
+        std::memcpy(dstrow, inp, row_bytes);
+        inp += row_bytes;
       }
     }
+    ctx.machine().pool_release(std::move(data));
   }
   return out;
 }

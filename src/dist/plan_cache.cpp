@@ -65,6 +65,7 @@ std::shared_ptr<const RedistSchedule> PlanCache::redist(machine::Machine& m, con
                                                         const std::vector<int>& perm,
                                                         const std::vector<int>& inv_perm,
                                                         const std::vector<std::int64_t>& offsets) {
+  if (!m.keeps_plans()) return build_redist_schedule(src, dst, perm, inv_perm, offsets);
   Key key = redist_key(src, dst, perm, offsets);
   std::lock_guard<std::mutex> lk(mu_);
   if (auto it = redist_.find(key); it != redist_.end()) {
@@ -80,6 +81,7 @@ std::shared_ptr<const RedistSchedule> PlanCache::redist(machine::Machine& m, con
 
 std::shared_ptr<const HaloSchedule> PlanCache::halo(machine::Machine& m, const Layout& layout,
                                                     int halo) {
+  if (!m.keeps_plans()) return build_halo_schedule(layout, halo);
   Key key;
   append_layout(key.blob, layout);
   key.blob.push_back(halo);
@@ -187,8 +189,8 @@ std::shared_ptr<const HaloSchedule> build_halo_schedule(const Layout& lay, int h
     mp.my_lo = my_lo;
     mp.my_hi = my_hi;
 
-    // Sends, in the uncached path's order: ascending consumer, rows in the
-    // consumer's need order, only rows I own, non-empty messages only.
+    // Sends: ascending consumer, rows in the consumer's need order, only
+    // rows I own, non-empty messages only.
     for (int v = 0; v < n; ++v) {
       if (v == me) continue;
       HaloSchedule::Send snd;
@@ -207,7 +209,7 @@ std::shared_ptr<const HaloSchedule> build_halo_schedule(const Layout& lay, int h
     mp.n_below = std::min(H, my_hi + halo) - my_hi;
 
     // Receives: my ghost rows grouped by owner, ascending owner order, need
-    // order preserved within an owner (the uncached stable sort).
+    // order preserved within an owner.
     std::vector<std::pair<int, std::int64_t>> by_owner;
     for (std::int64_t r : ghost_need(me)) {
       const std::array<std::int64_t, 3> gi{0, r, 0};

@@ -1,32 +1,33 @@
-// fxpar dist: inspector–executor plan caching for redistribution.
+// fxpar dist: inspector–executor schedules for redistribution and halo
+// exchange, and the cache that keeps them.
 //
 // The paper's pipelines (FFT-Hist, radar, stereo) redistribute the *same*
 // arrays between the *same* layouts once per data set, for hundreds of data
-// sets per run. The inspector–executor split precomputes a communication
-// schedule once per (source layout, destination layout, perm, offsets)
-// tuple and replays it on every later call:
+// sets per run. Every redistribution and halo exchange is split in two:
 //
 //  - inspector (this file, host-side only): runs the O(senders x receivers)
-//    run-intersection analysis of redistribute.hpp once, resolves every
+//    run-intersection analysis (build_plan / visit_plan), resolves every
 //    local offset, and flattens the result into per-(sender, receiver)
 //    vectors of (src_local_offset, dst_local_offset, len, dst_stride)
-//    segments plus the cached union participant group;
-//  - executor (redistribute.hpp / halo.hpp): packs and unpacks with plain
-//    memcpy/strided loops over the cached segments — no recursive plan
-//    visits, no per-element offset resolution, no per-element copies on
-//    the permuted (corner-turn) path.
+//    segments plus the union participant group;
+//  - executor (redistribute.hpp / halo.hpp, the only implementation of
+//    each operation): packs and unpacks with plain memcpy/strided loops
+//    over the segments — no recursive plan visits, no per-element offset
+//    resolution, no per-element copies on the permuted (corner-turn) path.
 //
-// Schedules live on the Machine and are shared by every processor: the
-// first caller builds the whole pair matrix, everyone else replays it.
-// Lookup and build happen under one cache mutex so the scheme works
-// unchanged on the threaded backend (on the simulator the single host
-// thread never contends). Entries are handed out as shared_ptr so an
-// eviction during a blocked call can never dangle.
+// With MachineConfig::plan_cache on (the default), schedules live on the
+// Machine, keyed by (source layout, destination layout, perm, offsets), and
+// are shared by every processor: the first caller builds the whole pair
+// matrix, everyone else replays it. Lookup and build happen under one
+// cache mutex so the scheme works unchanged on the threaded backend (on the
+// simulator the single host thread never contends). Entries are handed out
+// as shared_ptr so an eviction during a blocked call can never dangle.
+// With it off, every lookup builds a fresh schedule for that call alone and
+// counts neither a hit nor a miss.
 //
-// Caching is purely a host-time optimization: the executor issues exactly
-// the same messages, charges and barriers as the uncached path, so modeled
-// results are bit-identical with the cache on or off (the tier-1 suite
-// asserts this). Switch: MachineConfig::plan_cache.
+// The switch changes host time only: the executor is the same either way,
+// so messages, charges, barriers and modeled results are bit-identical
+// (the tier-1 suite asserts this).
 #pragma once
 
 #include <algorithm>
@@ -144,9 +145,8 @@ struct TransferSeg {
   std::int64_t dst_stride = 1;
 };
 
-/// The flattened transfer between one (sender, receiver) pair, in the exact
-/// byte order of the uncached pack (source-row-major), so cached and
-/// uncached payloads are byte-identical.
+/// The flattened transfer between one (sender, receiver) pair, in
+/// source-row-major byte order.
 struct FlatPlan {
   std::int64_t elements = 0;
   std::vector<TransferSeg> segs;
@@ -195,9 +195,10 @@ struct HaloSchedule {
   std::vector<Member> members;  ///< indexed by vrank
 };
 
-/// The per-Machine schedule cache. All lookups happen on the single host
-/// thread that runs the fibers; entries are returned as shared_ptr so a
-/// caller blocked mid-redistribution survives eviction by another fiber.
+/// The per-Machine schedule cache. Entries are returned as shared_ptr so a
+/// caller blocked mid-redistribution survives eviction by another
+/// processor. With MachineConfig::plan_cache off, lookups build and return
+/// a schedule without storing or counting it.
 class PlanCache final : public machine::MachineCacheBase {
  public:
   /// Soft capacity: inserting past this drops the whole table (outstanding
@@ -208,13 +209,14 @@ class PlanCache final : public machine::MachineCacheBase {
   static PlanCache& of(machine::Machine& m);
 
   /// The schedule for assign_general(src -> dst, perm, offsets), building
-  /// and inserting it on a miss. Counts a hit or miss on `m`.
+  /// and inserting it on a miss. Counts a hit or miss on `m` (caching on).
   std::shared_ptr<const RedistSchedule> redist(machine::Machine& m, const Layout& src,
                                                const Layout& dst, const std::vector<int>& perm,
                                                const std::vector<int>& inv_perm,
                                                const std::vector<std::int64_t>& offsets);
 
-  /// The schedule for exchange_row_halo(layout, halo). Counts a hit or miss.
+  /// The schedule for exchange_row_halo(layout, halo). Counts a hit or miss
+  /// (caching on).
   std::shared_ptr<const HaloSchedule> halo(machine::Machine& m, const Layout& layout, int halo);
 
   std::size_t redist_entries() const noexcept { return redist_.size(); }

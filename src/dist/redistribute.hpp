@@ -22,14 +22,14 @@
 // assign_shifted writes into a rectangular offset of the destination (the
 // merge step of the quicksort example).
 //
-// Plan caching (MachineConfig::plan_cache, on by default): the
-// O(senders x receivers) run-intersection analysis below is the *inspector*
-// of an inspector–executor split. With the cache on, its output is
-// flattened once per (layouts, perm, offsets) tuple into per-pair
-// (src_offset, dst_offset, len, stride) segments shared machine-wide (see
-// plan_cache.hpp), and later calls replay it with plain memcpy loops. The
-// cached executor issues exactly the same messages and charges, so modeled
-// results are bit-identical either way.
+// Inspector–executor: the O(senders x receivers) run-intersection analysis
+// (build_plan in plan_cache.hpp) is the *inspector*. Its output is
+// flattened into per-pair (src_offset, dst_offset, len, stride) segments,
+// and the executor below replays them with plain memcpy loops. With
+// MachineConfig::plan_cache on (the default) a schedule is built once per
+// (layouts, perm, offsets) tuple and shared machine-wide; with it off every
+// call builds its own schedule and drops it afterwards. Messages, charges
+// and barriers are the same either way, so modeled results are identical.
 #pragma once
 
 #include <algorithm>
@@ -38,7 +38,6 @@
 #include <numeric>
 #include <vector>
 
-#include "comm/serialize.hpp"
 #include "dist/dist_array.hpp"
 #include "dist/plan_cache.hpp"
 #include "machine/context.hpp"
@@ -56,8 +55,8 @@ enum class AssignSync {
 
 namespace detail {
 
-/// Executor pack over a flattened schedule: every segment is one memcpy.
-/// Byte order matches pack_plan exactly.
+/// Executor pack over a flattened schedule: every segment is one memcpy,
+/// in source-row-major order.
 template <typename T>
 void pack_flat(const DistArray<T>& src, const plan::FlatPlan& fp, Payload& buf) {
   const T* local = src.local().data();
@@ -89,60 +88,6 @@ void unpack_flat(DistArray<T>& dst, const plan::FlatPlan& fp, const Payload& buf
       pos += sizeof(T);
     }
   }
-}
-
-template <typename T>
-Payload pack_plan(const DistArray<T>& src, int s_vrank, const TransferPlan& plan) {
-  Payload buf;
-  buf.reserve(static_cast<std::size_t>(plan.elements) * sizeof(T));
-  std::vector<std::int64_t> gidx(plan.runs.size(), 0);
-  const std::span<const T> local = src.local();
-  visit_plan(plan, gidx, 0, [&](const std::vector<std::int64_t>& g, std::int64_t len) {
-    const std::int64_t off = src.layout().local_offset(s_vrank, g);
-    const std::size_t pos = buf.size();
-    buf.resize(pos + static_cast<std::size_t>(len) * sizeof(T));
-    std::memcpy(buf.data() + pos, local.data() + off, static_cast<std::size_t>(len) * sizeof(T));
-  });
-  return buf;
-}
-
-template <typename T>
-void unpack_plan(DistArray<T>& dst, int r_vrank, const TransferPlan& plan,
-                 const std::vector<int>& perm, const std::vector<std::int64_t>& offsets,
-                 bool identity_perm, const Payload& data) {
-  const int nd = static_cast<int>(plan.runs.size());
-  std::vector<std::int64_t> gidx(static_cast<std::size_t>(nd), 0);
-  std::vector<std::int64_t> didx(static_cast<std::size_t>(nd), 0);
-  const std::span<T> local = dst.local();
-  std::size_t pos = 0;
-  visit_plan(plan, gidx, 0, [&](const std::vector<std::int64_t>& g, std::int64_t len) {
-    if (identity_perm) {
-      // Runs never span a distribution block on either side (the plan was
-      // clipped against both owners' runs), so destination local addresses
-      // of a run are contiguous too.
-      for (int dd = 0; dd < nd; ++dd) {
-        didx[static_cast<std::size_t>(dd)] =
-            g[static_cast<std::size_t>(dd)] + offsets[static_cast<std::size_t>(dd)];
-      }
-      const std::int64_t off = dst.layout().local_offset(r_vrank, didx);
-      std::memcpy(local.data() + off, data.data() + pos,
-                  static_cast<std::size_t>(len) * sizeof(T));
-      pos += static_cast<std::size_t>(len) * sizeof(T);
-      return;
-    }
-    for (std::int64_t k = 0; k < len; ++k) {
-      for (int dd = 0; dd < nd; ++dd) {
-        const int sd = perm[static_cast<std::size_t>(dd)];
-        didx[static_cast<std::size_t>(dd)] = g[static_cast<std::size_t>(sd)] +
-                                             ((sd == nd - 1) ? k : 0) +
-                                             offsets[static_cast<std::size_t>(dd)];
-      }
-      T v;
-      std::memcpy(&v, data.data() + pos, sizeof(T));
-      pos += sizeof(T);
-      local[static_cast<std::size_t>(dst.layout().local_offset(r_vrank, didx))] = v;
-    }
-  });
 }
 
 }  // namespace detail
@@ -180,21 +125,14 @@ void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
                                   std::to_string(dd));
     }
   }
-  bool identity = true;
-  for (int dd = 0; dd < nd; ++dd) identity &= (perm[static_cast<std::size_t>(dd)] == dd);
-
-  // Inspector: with caching on, fetch (or build once) the machine-wide
-  // flattened schedule — union group, participant sets and per-pair
-  // segments all come precomputed.
-  std::shared_ptr<const plan::RedistSchedule> sched;
-  if (ctx.config().plan_cache) {
-    sched = plan::PlanCache::of(ctx.machine()).redist(ctx.machine(), sl, dl, perm, inv, offsets);
-  }
+  // Inspector: the flattened schedule — union group, participant sets and
+  // per-pair segments — shared machine-wide when plan_cache is on, built
+  // for this call alone when it is off.
+  const std::shared_ptr<const plan::RedistSchedule> sched =
+      plan::PlanCache::of(ctx.machine()).redist(ctx.machine(), sl, dl, perm, inv, offsets);
 
   // Minimal participating set: owners of either side. Everyone else skips.
-  pgroup::ProcessorGroup ug_local;
-  if (!sched) ug_local = union_group(sl.group(), dl.group());
-  const pgroup::ProcessorGroup& ug = sched ? sched->ugroup : ug_local;
+  const pgroup::ProcessorGroup& ug = sched->ugroup;
   const int me = ctx.phys_rank();
   if (!ug.contains(me)) return;
   metrics::RuntimeMetrics* const mm = ctx.machine().metrics();
@@ -216,25 +154,16 @@ void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
 
   Payload self_payload;
   bool have_self = false;
-  detail::TransferPlan self_plan;  // uncached path: reused by the receive loop
   if (i_send) {
     for (int r = 0; r < dl.group().size(); ++r) {
       const int r_phys = dl.group().physical(r);
       // With a replicated source, destination members that are themselves
       // source members serve their own copy: never message them.
       if (sl.fully_replicated() && r_phys != me && sl.group().contains(r_phys)) continue;
-      Payload buf;
-      if (sched) {
-        const plan::FlatPlan& fp = sched->pair(s_me, r);
-        if (fp.empty()) continue;
-        buf = ctx.machine().pool_acquire(static_cast<std::size_t>(fp.elements) * sizeof(T));
-        detail::pack_flat(src, fp, buf);
-      } else {
-        detail::TransferPlan plan = detail::build_plan(sl, s_me, dl, r, inv, offsets);
-        if (plan.empty()) continue;
-        buf = detail::pack_plan(src, s_me, plan);
-        if (r_phys == me) self_plan = std::move(plan);
-      }
+      const plan::FlatPlan& fp = sched->pair(s_me, r);
+      if (fp.empty()) continue;
+      Payload buf = ctx.machine().pool_acquire(static_cast<std::size_t>(fp.elements) * sizeof(T));
+      detail::pack_flat(src, fp, buf);
       ctx.charge_mem_bytes(static_cast<double>(buf.size()));
       if (r_phys == me) {
         self_payload = std::move(buf);
@@ -247,47 +176,15 @@ void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
   if (r_me >= 0) {
     for (int s = 0; s < sl.group().size(); ++s) {
       if (sl.fully_replicated() && s != (s_me >= 0 ? s_me : 0)) continue;
-      // Self-serve from the local replica when the canonical sender skipped
-      // us (replicated source, we are a non-canonical member).
-      const bool serve_replica = sl.fully_replicated() && s_me >= 0 && s_me != 0;
-      if (sched) {
-        const plan::FlatPlan& fp = sched->pair(s, r_me);
-        if (fp.empty()) continue;
-        Payload buf;
-        if (serve_replica) {
-          // Replicated local offsets are identical on every member, so the
-          // canonical sender slot's segments pack our own replica too.
-          buf = ctx.machine().pool_acquire(static_cast<std::size_t>(fp.elements) * sizeof(T));
-          detail::pack_flat(src, fp, buf);
-        } else if (sl.group().physical(s) == me) {
-          if (!have_self) throw std::logic_error("assign: missing self payload");
-          buf = std::move(self_payload);
-          have_self = false;
-        } else {
-          buf = ctx.recv_phys(sl.group().physical(s), tag);
-        }
-        if (buf.size() != static_cast<std::size_t>(fp.elements) * sizeof(T)) {
-          throw std::logic_error("assign: payload size does not match plan");
-        }
-        ctx.charge_mem_bytes(static_cast<double>(buf.size()));
-        detail::unpack_flat(dst, fp, buf);
-        ctx.machine().pool_release(std::move(buf));
-        continue;
-      }
-      // Uncached path. The self pair's plan was already built by the send
-      // loop above — reuse it instead of rebuilding.
-      detail::TransferPlan plan_storage;
-      const detail::TransferPlan* plan;
-      if (!serve_replica && sl.group().physical(s) == me && have_self) {
-        plan = &self_plan;
-      } else {
-        plan_storage = detail::build_plan(sl, s, dl, r_me, inv, offsets);
-        plan = &plan_storage;
-      }
-      if (plan->empty()) continue;
+      const plan::FlatPlan& fp = sched->pair(s, r_me);
+      if (fp.empty()) continue;
       Payload buf;
-      if (serve_replica) {
-        buf = detail::pack_plan(src, s_me, *plan);
+      if (sl.fully_replicated() && s_me > 0) {
+        // Self-serve from the local replica: the canonical sender skipped
+        // us. Replicated local offsets are identical on every member, so
+        // the canonical sender slot's segments pack our own replica too.
+        buf = ctx.machine().pool_acquire(static_cast<std::size_t>(fp.elements) * sizeof(T));
+        detail::pack_flat(src, fp, buf);
       } else if (sl.group().physical(s) == me) {
         if (!have_self) throw std::logic_error("assign: missing self payload");
         buf = std::move(self_payload);
@@ -295,11 +192,12 @@ void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
       } else {
         buf = ctx.recv_phys(sl.group().physical(s), tag);
       }
-      if (buf.size() != static_cast<std::size_t>(plan->elements) * sizeof(T)) {
+      if (buf.size() != static_cast<std::size_t>(fp.elements) * sizeof(T)) {
         throw std::logic_error("assign: payload size does not match plan");
       }
       ctx.charge_mem_bytes(static_cast<double>(buf.size()));
-      detail::unpack_plan(dst, r_me, *plan, perm, offsets, identity, buf);
+      detail::unpack_flat(dst, fp, buf);
+      ctx.machine().pool_release(std::move(buf));
     }
   }
   // Per-participant latency: modeled seconds on the simulator, real

@@ -68,6 +68,11 @@ struct alignas(64) RankCtrl {
   std::atomic<std::uint64_t> beats{0};   ///< runtime-service heartbeats
   std::atomic<std::uint64_t> last_beat_bits{0};  ///< bit pattern of the last beat time
   std::atomic<std::int64_t> mail_depth{0};       ///< matched-but-unreceived messages
+  /// Barrier slot this rank is parked on (-1: none) and the epoch that
+  /// releases it, so the deadlock monitor can tell a released waiter that
+  /// has not run yet from a blocked one.
+  std::atomic<std::int32_t> await_slot{-1};
+  std::atomic<std::uint32_t> await_epoch{0};
   // Final per-rank counters, owner-written by finish_rank() before `done`
   // goes up; the parent reads them only after observing done (or the reap).
   double elapsed_s = 0.0;
@@ -383,6 +388,8 @@ void ProcBackend::reset_run_state() {
     rc.beats.store(0, std::memory_order_relaxed);
     rc.last_beat_bits.store(std::bit_cast<std::uint64_t>(-1.0), std::memory_order_relaxed);
     rc.mail_depth.store(0, std::memory_order_relaxed);
+    rc.await_slot.store(-1, std::memory_order_relaxed);
+    rc.await_epoch.store(0, std::memory_order_relaxed);
     rc.elapsed_s = rc.wait_s = 0.0;
     rc.blocks = rc.messages = rc.bytes = rc.barriers = 0;
   }
@@ -647,6 +654,9 @@ void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
     futex_wake_all_u32(&slot->epoch);
   } else {
     rc.reason.store(procdetail::kReasonBarrier, std::memory_order_release);
+    rc.await_epoch.store(want, std::memory_order_seq_cst);
+    rc.await_slot.store(static_cast<std::int32_t>(slot - ctrl_->barriers),
+                        std::memory_order_seq_cst);
     rc.parked.store(1, std::memory_order_seq_cst);
     ctrl_->parked_n.fetch_add(1, std::memory_order_seq_cst);
     slot->waiting.fetch_add(1, std::memory_order_seq_cst);
@@ -661,7 +671,10 @@ void ProcBackend::barrier(const pgroup::ProcessorGroup& group) {
     }
     slot->waiting.fetch_sub(1, std::memory_order_seq_cst);
     ctrl_->parked_n.fetch_sub(1, std::memory_order_seq_cst);
+    // Unpark before withdrawing the pending-wakeup state, so the monitor's
+    // scan always sees one of the two.
     rc.parked.store(0, std::memory_order_seq_cst);
+    rc.await_slot.store(-1, std::memory_order_seq_cst);
     rc.reason.store(0, std::memory_order_release);
   }
   check_abort();
@@ -991,7 +1004,7 @@ void ProcBackend::monitor_loop() {
   const int p = num_procs();
   std::vector<char> dead(static_cast<std::size_t>(p), 0);
 
-  const auto quiescent_now = [&]() -> bool {
+  const auto counters_quiet = [&]() -> bool {
     int done = 0, parked = 0;
     for (int r = 0; r < p; ++r) {
       const RankCtrl& rc = ctrl_->ranks[r];
@@ -1005,6 +1018,25 @@ void ProcBackend::monitor_loop() {
     if (done + parked < p) return false;   // somebody is still running
     if (ctrl_->in_transit.load(std::memory_order_seq_cst) != 0) return false;
     return true;
+  };
+  // Counters alone are not enough: a barrier waiter whose episode was
+  // released stays "parked" until its process runs again, which can take
+  // arbitrarily long (descheduled, or stopped by a signal). Like the
+  // threaded backend's pending-wakeup scan, such a rank is not blocked.
+  // Re-check the counters after the scan: a waiter that consumed its
+  // release meanwhile unparked before clearing await_slot, so one of the
+  // two checks sees it.
+  const auto quiescent_now = [&]() -> bool {
+    if (!counters_quiet()) return false;
+    for (int r = 0; r < p; ++r) {
+      const RankCtrl& rc = ctrl_->ranks[r];
+      const std::int32_t s = rc.await_slot.load(std::memory_order_seq_cst);
+      if (s < 0) continue;
+      const std::uint32_t epoch = ctrl_->barriers[s].epoch.load(std::memory_order_seq_cst);
+      const std::uint32_t want = rc.await_epoch.load(std::memory_order_seq_cst);
+      if (static_cast<std::int32_t>(epoch - want) >= 0) return false;
+    }
+    return counters_quiet();
   };
 
   while (!monitor_stop_.load(std::memory_order_acquire)) {

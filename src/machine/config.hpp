@@ -100,14 +100,16 @@ struct MachineConfig {
   /// — results are bit-identical under every policy.
   exec::PinPolicy pinning = exec::PinPolicy::None;
 
-  /// Inspector–executor plan caching for redistribution (see
-  /// dist/plan_cache.hpp and docs/performance.md). When on, assign() and
-  /// the halo exchange precompute a flattened transfer schedule once per
-  /// (layout pair, perm, offsets) and replay it on every subsequent call,
-  /// removing the host-side plan-building cost from repeated handoffs.
-  /// Simulated results (finish times, bytes, efficiencies) are bit-identical
-  /// with the cache on or off; the switch exists for ablation and host-time
-  /// benchmarking.
+  /// Keep host-side schedules and buffers across calls (see
+  /// dist/plan_cache.hpp, comm/collective_plan.hpp and docs/performance.md).
+  /// Redistribution, halo exchange and the tree/rooted collectives always
+  /// run one executor over an inspector-built schedule. When on, each
+  /// schedule is built once per (layout pair, perm, offsets) or (group,
+  /// root) and replayed on every later call, and payload buffers circulate
+  /// through the machine's pool. When off, every call builds its schedule,
+  /// runs it and drops it, and the pool keeps nothing. Simulated results
+  /// (finish times, bytes, efficiencies) are bit-identical either way; the
+  /// switch exists for ablation and host-time benchmarking.
   bool plan_cache = true;
 
   // ---- live observability plane (src/obs/, docs/observability.md) ----

@@ -447,7 +447,7 @@ std::vector<double> Machine::double_acquire(std::size_t n) {
 }
 
 void Machine::double_release(std::vector<double>&& v) {
-  if (v.capacity() == 0) return;
+  if (v.capacity() == 0 || !keeps_plans()) return;
   const int rank = pool_shard_rank(*backend_);
   if (rank >= 0) {
     auto& shard = pool_shards_[static_cast<std::size_t>(rank)].dbufs;
@@ -465,7 +465,7 @@ void Machine::double_release(std::vector<double>&& v) {
 }
 
 void Machine::pool_release(Payload&& p) {
-  if (p.capacity() == 0) return;
+  if (p.capacity() == 0 || !keeps_plans()) return;
   const int rank = pool_shard_rank(*backend_);
   if (rank >= 0) {
     auto& shard = pool_shards_[static_cast<std::size_t>(rank)].bufs;

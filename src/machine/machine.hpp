@@ -74,15 +74,17 @@ struct RunResult {
   /// only; 0 on the simulator, whose idle time is modeled, not real).
   double wait_ms = 0.0;
 
-  /// Redistribution plan cache counters (see dist/plan_cache.hpp): a miss
-  /// builds a schedule, a hit replays one. Both zero when
-  /// MachineConfig::plan_cache is off or no redistribution ran.
+  /// Redistribution and halo plan cache counters (see dist/plan_cache.hpp):
+  /// a miss builds and stores a schedule, a hit replays a stored one. Both
+  /// zero when MachineConfig::plan_cache is off (every call then builds a
+  /// schedule it does not keep) or no redistribution ran.
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
 
-  /// Collective plan cache counters (see comm/collective_plan.hpp): cached
+  /// Collective plan cache counters (see comm/collective_plan.hpp): stored
   /// broadcast/reduce trees and rooted gather/scatter schedules. Both zero
-  /// when MachineConfig::plan_cache is off or no collective ran.
+  /// when MachineConfig::plan_cache is off (schedules are then built per
+  /// call and not kept) or no collective ran.
   std::uint64_t collective_plan_hits = 0;
   std::uint64_t collective_plan_misses = 0;
 
@@ -210,6 +212,12 @@ class Machine {
   std::string capture_diagnostic(const std::string& reason,
                                  const std::string& error);
 
+  /// True when host-side schedules and pooled buffers are kept across
+  /// calls (MachineConfig::plan_cache). When false, the schedule caches
+  /// build a schedule per call without storing or counting it, and the
+  /// payload pools drop every released buffer.
+  bool keeps_plans() const noexcept { return config_.plan_cache; }
+
   // ---- redistribution plan cache slot (see dist/plan_cache.hpp) ----
 
   /// The attached plan cache, or nullptr before first use.
@@ -251,7 +259,9 @@ class Machine {
   // shared spill list under pool_mu_. Buffers migrate sender -> receiver,
   // so the spill list is what lets allocations circulate back to the
   // senders in rooted patterns (gathers, reductions). The pool is
-  // host-side only and never changes modeled time.
+  // host-side only and never changes modeled time. With
+  // MachineConfig::plan_cache off it keeps nothing: releases drop the
+  // buffer, so every acquire allocates afresh.
 
   /// A buffer of exactly `bytes` bytes, reusing a pooled allocation if
   /// any. The *contents are unspecified* — every caller overwrites the
@@ -259,7 +269,8 @@ class Machine {
   Payload pool_acquire(std::size_t bytes);
 
   /// Returns a spent buffer to the releasing worker's shard (spilling to
-  /// the shared list when the shard is full; dropped once both are full).
+  /// the shared list when the shard is full; dropped once both are full,
+  /// or always when keeps_plans() is false).
   void pool_release(Payload&& p);
 
   /// Releases that overflowed a worker shard onto the shared spill list
@@ -270,7 +281,7 @@ class Machine {
 
   // ---- typed double-vector scratch pool ----
   //
-  // The cached collective executors also churn std::vector<double> results
+  // The collective executors also churn std::vector<double> results
   // (the dominant element type of the numeric apps): every unpack, gather
   // concatenation and allreduce intermediate is a fresh vector that dies
   // one call later. These mirror pool_acquire/pool_release for that one
@@ -282,7 +293,8 @@ class Machine {
   /// Contents are unspecified; every caller overwrites them in full.
   std::vector<double> double_acquire(std::size_t n);
 
-  /// Returns a spent double vector to the calling worker's shard.
+  /// Returns a spent double vector to the calling worker's shard (dropped
+  /// when keeps_plans() is false).
   void double_release(std::vector<double>&& v);
 
  private:

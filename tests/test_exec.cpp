@@ -8,15 +8,21 @@
 // exactly the ones a TSan build is for.
 #include <gtest/gtest.h>
 
+#include <signal.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <functional>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/fx.hpp"
+#include "comm/serialize.hpp"
 #include "core/parallel_loop.hpp"
 #include "dist/redistribute.hpp"
 #include "exec/threaded_backend.hpp"
@@ -333,6 +339,46 @@ TEST(ExecThreads, NoFalseDeadlockUnderParkRaces) {
   });
 }
 
+// Regression for a false DeadlockError on the process backend: a barrier
+// waiter whose episode has been released stays marked parked until its
+// process runs again. If the releasing rank then blocks in a receive from
+// that waiter, every rank looks parked while the system is only waiting
+// for the OS to schedule the waiter. Here rank 1 parks in a barrier and is
+// SIGSTOPped; rank 0 releases the barrier and then waits for a message from
+// rank 1, which can only arrive once a helper thread sends SIGCONT about
+// 100 ms later. The monitor must see the pending release and keep waiting.
+TEST(ExecProc, NoFalseDeadlockWhileReleasedWaiterIsStopped) {
+#ifdef FXPAR_TSAN
+  GTEST_SKIP() << "fork-per-rank backend is incompatible with ThreadSanitizer";
+#endif
+  auto c = MachineConfig::paragon(2);
+  c.backend = ex::BackendKind::Proc;
+  mx::Machine m(c);
+  std::int64_t echoed = -1;
+  EXPECT_NO_THROW(m.run([&](mx::Context& ctx) {
+    if (ctx.phys_rank() == 1) {
+      ctx.send_phys(0, 1, fxpar::comm::pack_value<std::int64_t>(::getpid()));
+      ctx.barrier();
+      ctx.send_phys(0, 2, fxpar::comm::pack_value<std::int64_t>(42));
+      return;
+    }
+    const auto pid =
+        static_cast<pid_t>(fxpar::comm::unpack_value<std::int64_t>(ctx.recv_phys(1, 1)));
+    // Let rank 1 reach the barrier and park before stopping it.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ASSERT_EQ(::kill(pid, SIGSTOP), 0);
+    ctx.barrier();  // last arriver: releases the stopped waiter
+    // Joined on every exit path, so a (false) deadlock verdict still
+    // resumes rank 1 before the backend reaps it.
+    std::jthread resume([pid] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      ::kill(pid, SIGCONT);
+    });
+    echoed = fxpar::comm::unpack_value<std::int64_t>(ctx.recv_phys(1, 2));
+  }));
+  EXPECT_EQ(echoed, 42);
+}
+
 // ---------------------------------------------------------------------------
 // Concurrent trace recording
 // ---------------------------------------------------------------------------
@@ -405,12 +451,14 @@ struct IrregularRun {
   mx::RunResult res;
   std::vector<double> out;  ///< per-iteration results (shared, disjoint writes)
   std::vector<int> who;     ///< physical rank that executed each iteration
+  std::vector<int> who_reduce;  ///< the same for the parallel_reduce loop
   double reduced = 0.0;     ///< do&merge result (identical on every member)
 };
 
 // The canonical irregular do&merge program: every heavy iteration lands in
 // vrank 0's static block, so with stealing enabled the other workers drain
-// chunks of its deque. `who[i]` records the worker that actually ran
+// chunks of its deque. `who[i]` (and `who_reduce[i]` for the reduction,
+// whose chunks can be stolen too) records the worker that actually ran
 // iteration i — under stealing that can differ from the static owner, but
 // the *results* must not.
 IrregularRun run_irregular_loop(const MachineConfig& cfg, std::int64_t n = kIrrN) {
@@ -418,8 +466,10 @@ IrregularRun run_irregular_loop(const MachineConfig& cfg, std::int64_t n = kIrrN
   IrregularRun r;
   r.out.assign(static_cast<std::size_t>(n), 0.0);
   r.who.assign(static_cast<std::size_t>(n), -1);
+  r.who_reduce.assign(static_cast<std::size_t>(n), -1);
   double* out = r.out.data();
   int* who = r.who.data();
+  int* who_reduce = r.who_reduce.data();
   double* reduced = &r.reduced;
   r.res = m.run([&, n](mx::Context& ctx) {
     core::parallel_for(ctx, 0, n, [&ctx, out, who, n](std::int64_t i) {
@@ -430,7 +480,11 @@ IrregularRun run_irregular_loop(const MachineConfig& cfg, std::int64_t n = kIrrN
     // Floating-point sum whose value depends on combine order: bitwise
     // equality across schedules proves the merge order is preserved.
     const double sum = core::parallel_reduce<double>(
-        ctx, 0, n, [](std::int64_t i) { return 1.0 / static_cast<double>(i + 1); },
+        ctx, 0, n,
+        [&ctx, who_reduce](std::int64_t i) {
+          who_reduce[i] = ctx.machine().backend().current_rank();
+          return 1.0 / static_cast<double>(i + 1);
+        },
         std::plus<double>{}, 0.0);
     if (ctx.phys_rank() == 0) *reduced = sum;
   });
@@ -445,6 +499,16 @@ std::vector<int> static_owner(int procs, std::int64_t n = kIrrN) {
     for (std::int64_t i = f; i < l; ++i) own[static_cast<std::size_t>(i)] = v;
   }
   return own;
+}
+
+// Iterations of both loops that ran off their static owner: exactly the
+// stolen ones.
+std::uint64_t moved_iters(const IrregularRun& r, const std::vector<int>& own) {
+  std::uint64_t moved = 0;
+  for (std::size_t i = 0; i < own.size(); ++i) {
+    moved += (r.who[i] != own[i]) + (r.who_reduce[i] != own[i]);
+  }
+  return moved;
 }
 
 }  // namespace
@@ -467,17 +531,14 @@ TEST(ExecStealing, IrregularLoopStealsAndStaysBitIdentical) {
   // Every iteration that ran off its static owner is a stolen one; the
   // executor map must account for exactly the stolen iterations.
   const auto own = static_owner(P);
-  std::uint64_t moved = 0;
-  for (std::size_t i = 0; i < own.size(); ++i) {
-    if (steal.who[i] != own[i]) ++moved;
-  }
-  EXPECT_EQ(moved, steal.res.stolen_iters);
+  EXPECT_EQ(moved_iters(steal, own), steal.res.stolen_iters);
 
   // With the toggle off the schedule is purely static.
   EXPECT_EQ(nosteal.res.steals, 0u);
   EXPECT_EQ(nosteal.res.stolen_iters, 0u);
   for (std::size_t i = 0; i < own.size(); ++i) {
     ASSERT_EQ(nosteal.who[i], own[i]) << "iteration " << i;
+    ASSERT_EQ(nosteal.who_reduce[i], own[i]) << "reduction iteration " << i;
   }
 
   // The determinism contract: array contents and the order-sensitive
@@ -522,12 +583,11 @@ TEST(ExecStealing, UnevenBlockLengthTerminatesAndStaysBitIdentical) {
   // exactly the stolen iterations, and results match the static schedule
   // bit for bit.
   const auto own = static_owner(P, kOdd);
-  std::uint64_t moved = 0;
   for (std::size_t i = 0; i < own.size(); ++i) {
     ASSERT_NE(steal.who[i], -1) << "iteration " << i << " never ran";
-    if (steal.who[i] != own[i]) ++moved;
+    ASSERT_NE(steal.who_reduce[i], -1) << "reduction iteration " << i << " never ran";
   }
-  EXPECT_EQ(moved, steal.res.stolen_iters);
+  EXPECT_EQ(moved_iters(steal, own), steal.res.stolen_iters);
   EXPECT_EQ(nosteal.res.steals, 0u);
   EXPECT_EQ(steal.out, nosteal.out);
   EXPECT_EQ(steal.reduced, nosteal.reduced);

@@ -4,8 +4,10 @@
 
 #include "dist/halo.hpp"
 #include "machine/context.hpp"
+#include "rank_results.hpp"
 
 namespace ds = fxpar::dist;
+namespace ex = fxpar::exec;
 namespace mx = fxpar::machine;
 namespace pg = fxpar::pgroup;
 
@@ -84,15 +86,17 @@ INSTANTIATE_TEST_SUITE_P(ProcsByHalo, HaloSweep,
                          ::testing::Combine(::testing::Values(2, 3, 5, 8, 17, 24),
                                             ::testing::Values(1, 2, 3)));
 
-class HaloParity : public ::testing::TestWithParam<std::tuple<int, int>> {};
+class HaloParity : public ::testing::TestWithParam<std::tuple<ex::BackendKind, int, int>> {};
 
 TEST_P(HaloParity, CachedMatchesUncachedBitExactly) {
-  // The cached exchange must issue the same messages and charges and return
-  // the same ghosts as the analysis-per-call path.
-  const int p = std::get<0>(GetParam());
-  const int halo = std::get<1>(GetParam());
+  // With the plan cache on or off the exchange must issue the same messages
+  // and charges and return the same ghosts, on every backend.
+  const ex::BackendKind kind = std::get<0>(GetParam());
+  const int p = std::get<1>(GetParam());
+  const int halo = std::get<2>(GetParam());
   auto one = [&](bool cache_on) {
     auto c = cfg(p);
+    c.backend = kind;
     c.plan_cache = cache_on;
     std::vector<double> sums(static_cast<std::size_t>(p), 0.0);
     mx::Machine m(c);
@@ -108,13 +112,16 @@ TEST_P(HaloParity, CachedMatchesUncachedBitExactly) {
         s -= ghosts.below[i] * static_cast<double>(i + 1);
       }
       sums[static_cast<std::size_t>(ctx.phys_rank())] = s;
+      fxpar::testing::funnel_to_rank0(ctx, sums);
     });
     return std::make_tuple(res.finish_time, res.messages, res.bytes, sums,
                            res.plan_cache_hits + res.plan_cache_misses);
   };
   const auto cached = one(true);
   const auto plain = one(false);
-  EXPECT_EQ(std::get<0>(cached), std::get<0>(plain));  // exact finish time
+  if (kind == ex::BackendKind::Sim) {
+    EXPECT_EQ(std::get<0>(cached), std::get<0>(plain));  // exact modeled finish time
+  }
   EXPECT_EQ(std::get<1>(cached), std::get<1>(plain));
   EXPECT_EQ(std::get<2>(cached), std::get<2>(plain));
   EXPECT_EQ(std::get<3>(cached), std::get<3>(plain));
@@ -123,7 +130,15 @@ TEST_P(HaloParity, CachedMatchesUncachedBitExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(ProcsByHalo, HaloParity,
-                         ::testing::Combine(::testing::Values(2, 5, 8, 24),
+                         ::testing::Combine(::testing::Values(ex::BackendKind::Sim,
+                                                              ex::BackendKind::Threads),
+                                            ::testing::Values(2, 5, 8, 24),
+                                            ::testing::Values(1, 3)));
+
+// Forked runs are slower; proc covers wide and narrow blocks once each.
+INSTANTIATE_TEST_SUITE_P(Proc, HaloParity,
+                         ::testing::Combine(::testing::Values(ex::BackendKind::Proc),
+                                            ::testing::Values(5, 8),
                                             ::testing::Values(1, 3)));
 
 TEST(Halo, WrongLayoutRejected) {

@@ -3,12 +3,16 @@
 // gather_full, and the minimal-participating-set property.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <string>
 #include <tuple>
 
 #include "dist/redistribute.hpp"
 #include "machine/context.hpp"
+#include "rank_results.hpp"
 
 namespace ds = fxpar::dist;
+namespace ex = fxpar::exec;
 namespace mx = fxpar::machine;
 namespace pg = fxpar::pgroup;
 
@@ -27,6 +31,13 @@ ds::DimDist dist_by_id(int id) {
     case 2: return ds::DimDist::block_cyclic(3);
     default: return ds::DimDist::collapsed();
   }
+}
+
+std::string parity_name(
+    const ::testing::TestParamInfo<std::tuple<ex::BackendKind, int, int, bool, int>>& info) {
+  const auto& [kind, a, b, swap, shifted] = info.param;
+  return std::string(ex::backend_kind_name(kind)) + "_" + std::to_string(a) + "_" +
+         std::to_string(b) + (swap ? "_perm" : "_id") + (shifted ? "_shift" : "");
 }
 
 }  // namespace
@@ -437,21 +448,26 @@ TEST(Redistribute, ScatterThenGatherRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
-// Cached vs uncached parity. The plan cache is a host-time optimization
-// only: modeled results (finish time, message count, bytes) and array
-// contents must be bit-identical with the cache on or off.
+// Plan cache on/off parity. The cache only decides whether schedules and
+// buffers are kept across calls: modeled results (finish time, message
+// count, bytes) and array contents must be bit-identical with it on or off,
+// on every backend. With it off the one executor runs with per-call
+// schedules and unpooled buffers, across real thread and process
+// boundaries on the threads and proc backends.
 
 namespace {
 
 struct ParityRun {
   mx::RunResult res;
-  std::vector<std::int64_t> sums;  // per physical rank: checksum of owned dst
+  std::vector<std::uint64_t> sums;  // per physical rank: checksum of owned dst
+  std::vector<std::int64_t> bad;   // per physical rank: elements off the expected value
 };
 
-ParityRun run_parity(bool cache_on, int a_kind, int b_kind, bool swap_dims,
-                     std::int64_t off0, std::int64_t off1) {
+ParityRun run_parity(ex::BackendKind kind, bool cache_on, int a_kind, int b_kind,
+                     bool swap_dims, std::int64_t off0, std::int64_t off1) {
   constexpr int kP = 4;
   auto c = cfg(kP);
+  c.backend = kind;
   c.plan_cache = cache_on;
   const std::vector<std::int64_t> src_shape{9, 7};
   const std::vector<int> perm = swap_dims ? std::vector<int>{1, 0} : std::vector<int>{0, 1};
@@ -464,6 +480,7 @@ ParityRun run_parity(bool cache_on, int a_kind, int b_kind, bool swap_dims,
   }
   ParityRun out;
   out.sums.assign(kP, 0);
+  out.bad.assign(kP, 0);
   mx::Machine m(c);
   out.res = m.run([&](mx::Context& ctx) {
     const auto g = pg::ProcessorGroup::identity(kP);
@@ -474,7 +491,8 @@ ParityRun run_parity(bool cache_on, int a_kind, int b_kind, bool swap_dims,
     a.fill([](std::span<const std::int64_t> gi) { return gi[0] * 1000 + gi[1]; });
     b.fill_value(-7);
     ds::assign_general(ctx, b, a, perm, offsets);
-    std::int64_t sum = 0;
+    std::uint64_t sum = 0;  // unsigned: the checksum wraps instead of overflowing
+    std::int64_t bad = 0;
     b.for_each_owned([&](std::span<const std::int64_t> gi, std::int64_t& v) {
       std::int64_t expected = -7;
       bool inside = true;
@@ -487,41 +505,65 @@ ParityRun run_parity(bool cache_on, int a_kind, int b_kind, bool swap_dims,
         if (inside) s[static_cast<std::size_t>(sd)] = rel;
       }
       if (inside) expected = s[0] * 1000 + s[1];
-      EXPECT_EQ(v, expected) << "at (" << gi[0] << "," << gi[1] << ") cache=" << cache_on;
-      sum = sum * 31 + v;
+      bad += v != expected;
+      sum = sum * 31 + static_cast<std::uint64_t>(v);
     });
-    out.sums[static_cast<std::size_t>(ctx.phys_rank())] = sum;
+    const auto r = static_cast<std::size_t>(ctx.phys_rank());
+    out.sums[r] = sum;
+    out.bad[r] = bad;
+    fxpar::testing::funnel_to_rank0(ctx, out.sums);
+    fxpar::testing::funnel_to_rank0(ctx, out.bad);
   });
   return out;
 }
 
 }  // namespace
 
-class RedistParity : public ::testing::TestWithParam<std::tuple<int, int, bool, int>> {};
+class RedistParity
+    : public ::testing::TestWithParam<std::tuple<ex::BackendKind, int, int, bool, int>> {};
 
 TEST_P(RedistParity, CachedMatchesUncachedBitExactly) {
-  const int a_kind = std::get<0>(GetParam());
-  const int b_kind = std::get<1>(GetParam());
-  const bool swap_dims = std::get<2>(GetParam());
-  const bool shifted = std::get<3>(GetParam()) != 0;
+  const ex::BackendKind kind = std::get<0>(GetParam());
+  const int a_kind = std::get<1>(GetParam());
+  const int b_kind = std::get<2>(GetParam());
+  const bool swap_dims = std::get<3>(GetParam());
+  const bool shifted = std::get<4>(GetParam()) != 0;
   const std::int64_t off0 = shifted ? 1 : 0;
   const std::int64_t off1 = shifted ? 2 : 0;
-  const ParityRun cached = run_parity(true, a_kind, b_kind, swap_dims, off0, off1);
-  const ParityRun plain = run_parity(false, a_kind, b_kind, swap_dims, off0, off1);
-  EXPECT_EQ(cached.res.finish_time, plain.res.finish_time);  // exact, not approximate
+  const ParityRun cached = run_parity(kind, true, a_kind, b_kind, swap_dims, off0, off1);
+  const ParityRun plain = run_parity(kind, false, a_kind, b_kind, swap_dims, off0, off1);
+  if (kind == ex::BackendKind::Sim) {
+    // Modeled time is exact on the simulator; real backends report host time.
+    EXPECT_EQ(cached.res.finish_time, plain.res.finish_time);
+  }
   EXPECT_EQ(cached.res.messages, plain.res.messages);
   EXPECT_EQ(cached.res.bytes, plain.res.bytes);
   EXPECT_EQ(cached.res.barriers, plain.res.barriers);
   EXPECT_EQ(cached.sums, plain.sums);
+  EXPECT_EQ(cached.bad, std::vector<std::int64_t>(cached.bad.size(), 0));
+  EXPECT_EQ(plain.bad, std::vector<std::int64_t>(plain.bad.size(), 0));
   EXPECT_GT(cached.res.plan_cache_hits + cached.res.plan_cache_misses, 0u);
   EXPECT_EQ(plain.res.plan_cache_hits + plain.res.plan_cache_misses, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, RedistParity,
-                         ::testing::Combine(::testing::Values(0, 1, 2, 3),
+                         ::testing::Combine(::testing::Values(ex::BackendKind::Sim,
+                                                              ex::BackendKind::Threads),
+                                            ::testing::Values(0, 1, 2, 3),
                                             ::testing::Values(0, 1, 2, 3),
                                             ::testing::Bool(),
-                                            ::testing::Values(0, 1)));
+                                            ::testing::Values(0, 1)),
+                         parity_name);
+
+// Every forked run costs milliseconds, so proc covers the distribution
+// pairs only in the shifted form, identity and permuted.
+INSTANTIATE_TEST_SUITE_P(Proc, RedistParity,
+                         ::testing::Combine(::testing::Values(ex::BackendKind::Proc),
+                                            ::testing::Values(0, 1, 2, 3),
+                                            ::testing::Values(0, 1, 2, 3),
+                                            ::testing::Bool(),
+                                            ::testing::Values(1)),
+                         parity_name);
 
 TEST(RedistParity, RepeatedAssignHitsTheCache) {
   constexpr int kP = 4;
