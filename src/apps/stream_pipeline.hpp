@@ -18,9 +18,13 @@
 // pipelining mechanism of the paper, not bespoke executor machinery.
 #pragma once
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -154,6 +158,8 @@ StreamStats run_stream_pipeline_on(machine::Machine& machine,
 
   // Per-processor timestamp scratch, merged below: each rank writes only
   // its own row, so recording is race-free on the threaded backend too.
+  // Forked ranks (the process backend) write rows in their own address
+  // space, so the run body ships them to rank 0 before it ends.
   std::vector<std::vector<double>> start_pp(
       static_cast<std::size_t>(num_procs),
       std::vector<double>(static_cast<std::size_t>(num_sets),
@@ -163,6 +169,7 @@ StreamStats run_stream_pipeline_on(machine::Machine& machine,
       std::vector<double>(static_cast<std::size_t>(num_sets),
                           -std::numeric_limits<double>::infinity()));
 
+  const bool forked_ranks = machine.config().backend == exec::BackendKind::Proc;
   metrics::RuntimeMetrics* const mm = machine.metrics();
   metrics::Sampler* const sampler = opts.sampler;
   const auto& epilogue = opts.epilogue;
@@ -254,6 +261,26 @@ StreamStats run_stream_pipeline_on(machine::Machine& machine,
       // single-threaded); snapshot merging reads the other workers'
       // shards with relaxed atomics, so no one stalls.
       if (sampler && ctx.phys_rank() == 0) sampler->poll();
+    }
+    if (forked_ranks) {
+      // One message per non-zero rank: its start row, then its end row.
+      constexpr std::uint64_t kStampTag = 0x5354414d50ull;  // "STAMP"
+      const auto n = static_cast<std::size_t>(num_sets);
+      const auto me = static_cast<std::size_t>(ctx.phys_rank());
+      if (me != 0) {
+        std::vector<double> rows(start_pp[me]);
+        rows.insert(rows.end(), end_pp[me].begin(), end_pp[me].end());
+        ctx.send_phys(0, kStampTag, comm::pack_span(std::span<const double>(rows)));
+      } else {
+        for (int q = 1; q < num_procs; ++q) {
+          const auto rows = comm::unpack_vector<double>(ctx.recv_phys(q, kStampTag));
+          const auto qi = static_cast<std::size_t>(q);
+          std::copy(rows.begin(), rows.begin() + static_cast<std::ptrdiff_t>(n),
+                    start_pp[qi].begin());
+          std::copy(rows.begin() + static_cast<std::ptrdiff_t>(n), rows.end(),
+                    end_pp[qi].begin());
+        }
+      }
     }
     if (epilogue) epilogue(ctx);
   });

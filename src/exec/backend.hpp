@@ -13,14 +13,16 @@
 //   - subset barriers over the current processor group,
 //   - the sequential I/O device,
 //   - the per-processor clock (modeled time on the simulator, real
-//     elapsed time on the threaded engine).
+//     elapsed time on threads and proc).
 //
 // Implementations:
-//   sim_backend.hpp      SimBackend       — the discrete-event fiber
-//                        simulator; authoritative *modeled* machine time.
-//   threaded_backend.hpp ThreadedBackend  — one OS thread per logical
-//                        processor over real shared memory; reports real
-//                        host time, wait time and barrier counts.
+//   sim_backend.hpp   SimBackend   — the discrete-event fiber simulator;
+//                     authoritative *modeled* machine time (BackendKind::Sim).
+//   rank_runtime.hpp  RankRuntime  — real ranks with real host time, wait
+//                     time and barrier counts: one OS thread per logical
+//                     processor (BackendKind::Threads) or one forked process
+//                     per logical processor over a net:: transport
+//                     (BackendKind::Proc).
 //
 // The determinism contract (docs/execution.md): a program whose outputs
 // depend only on computed values and received payloads — not on clocks —
@@ -103,14 +105,14 @@ using ChunkBody = std::function<void(std::int64_t lo, std::int64_t hi)>;
 
 /// Aggregate per-run numbers a backend hands back after run(). The
 /// interpretation of the clock fields is backend-defined: modeled seconds
-/// on the simulator, real host seconds on the threaded engine.
+/// on the simulator, real host seconds on threads and proc.
 struct BackendStats {
   double finish_time = 0.0;  ///< completion time of the slowest processor
   std::vector<runtime::ProcClock> clocks;
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   std::uint64_t barriers = 0;
-  double wait_ms = 0.0;  ///< total *real* blocked time (threaded backend only)
+  double wait_ms = 0.0;  ///< total *real* blocked time (threads and proc)
   std::uint64_t steals = 0;        ///< loop chunks stolen by idle subgroup siblings
   std::uint64_t stolen_iters = 0;  ///< iterations executed by a non-owning worker
   std::vector<std::uint64_t> traffic;  ///< src * P + dst, when recorded
@@ -157,10 +159,10 @@ class Backend {
 
   /// Live structured introspection: per-worker state (running / parked +
   /// block reason / finished), mailbox and loop-deque depths, placement,
-  /// heartbeats, and barrier occupancy. The threaded backend answers this
-  /// from any thread at any time (all reads are atomics or registry reads
-  /// under their own locks); the simulator's answer is safe only from the
-  /// run thread while no run is executing (its state is fiber-mutated).
+  /// heartbeats, and barrier occupancy. The rank runtime answers this from
+  /// any thread at any time (all reads are atomics or registry reads under
+  /// their own locks); the simulator's answer is safe only from the run
+  /// thread while no run is executing (its state is fiber-mutated).
   /// The default is an empty introspection for backends without the hook.
   virtual obs::Introspection introspect() const { return {}; }
 
@@ -191,7 +193,7 @@ class Backend {
   virtual int current_rank() const = 0;
 
   /// Charges modeled compute time to the calling processor. The simulator
-  /// advances the virtual clock; the threaded engine ignores it (real time
+  /// advances the virtual clock; threads and proc ignore it (real time
   /// passes by itself).
   virtual void charge(double seconds) = 0;
 

@@ -60,7 +60,7 @@ struct MachineConfig {
   /// in-address-space backends ignore it): shared-memory mailbox rings
   /// (the default) or pre-connected loopback TCP sockets behind the same
   /// net::Channel seam. Deterministic programs produce bit-identical
-  /// array contents on both (docs/execution.md, "Process backend").
+  /// array contents on both (docs/execution.md, "The rank runtime").
   exec::TransportKind transport = exec::TransportKind::Shm;
 
   // Host-side simulation knobs.
@@ -133,10 +133,11 @@ struct MachineConfig {
   std::size_t flight_events = 2048;  ///< ring capacity per worker (events)
   double flight_window_s = 30.0;     ///< dumps keep events this close to the newest
 
-  /// Stall watchdog (threaded backend only; > 0 enables): a monitor thread
-  /// emits a structured diagnostic bundle to stderr whenever the backend
-  /// reports no runtime-service progress — no message, barrier, loop chunk
-  /// or io completion on any worker — for this many seconds, then re-arms.
+  /// Stall watchdog (threads and proc backends; the simulator ignores it;
+  /// > 0 enables): a thread in the launching process emits a structured
+  /// diagnostic bundle to stderr whenever the backend reports no
+  /// runtime-service progress — no message, barrier, loop chunk or io
+  /// completion on any rank — for this many seconds, then re-arms.
   /// Pure user compute between service calls counts as no progress, so set
   /// it above the longest expected service-free interval.
   double stall_watchdog_s = 0.0;
@@ -207,7 +208,8 @@ struct MachineConfig {
       throw std::invalid_argument("MachineConfig: stall_watchdog_s must be >= 0");
     }
     if (backend == exec::BackendKind::Proc && num_procs > 64) {
-      // The proc backend keys barrier membership on a 64-bit rank mask.
+      // One forked process per rank, and the tcp transport holds
+      // P * (P - 1) socket descriptors in the launching process.
       throw std::invalid_argument(
           "MachineConfig: the process backend supports at most 64 processors");
     }

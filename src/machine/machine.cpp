@@ -6,9 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "exec/proc_backend.hpp"
+#include "exec/rank_runtime.hpp"
 #include "exec/sim_backend.hpp"
-#include "exec/threaded_backend.hpp"
 #include "machine/context.hpp"
 #include "obs/diagnostics.hpp"
 
@@ -36,10 +35,8 @@ Machine::Machine(MachineConfig config) : config_(config) {
       backend_ = std::make_unique<exec::SimBackend>(config_);
       break;
     case exec::BackendKind::Threads:
-      backend_ = std::make_unique<exec::ThreadedBackend>(config_);
-      break;
     case exec::BackendKind::Proc:
-      backend_ = std::make_unique<exec::ProcBackend>(config_);
+      backend_ = std::make_unique<exec::RankRuntime>(config_);
       break;
   }
   if (config_.trace) {

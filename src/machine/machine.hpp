@@ -330,7 +330,7 @@ class Machine {
   mutable std::mutex healthz_extra_mu_;
   std::function<std::string()> healthz_extra_;  ///< guarded by healthz_extra_mu_
 
-  // Stall watchdog (threaded backend only): one monitor thread per run.
+  // Stall watchdog (threads and proc backends): one monitor thread per run.
   std::thread watchdog_;
   std::mutex watchdog_mu_;
   std::condition_variable watchdog_cv_;

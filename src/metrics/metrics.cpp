@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
+#include <utility>
+
+#include "metrics/blob.hpp"
 
 namespace fxpar::metrics {
 
@@ -230,6 +234,70 @@ std::string Sampler::series_json(const std::vector<Snapshot>& series) {
   }
   oss << "]";
   return oss.str();
+}
+
+std::vector<std::byte> serialize_delta(const Snapshot& base, const Snapshot& end) {
+  // [u32 counters][u32 histograms] entries...; the counts are patched in
+  // once known.
+  std::vector<std::byte> out(2 * sizeof(std::uint32_t));
+  std::uint32_t nc = 0;
+  for (const auto& [name, v] : end.counters) {
+    const std::uint64_t d = v - base.counter(name);
+    if (d == 0) continue;
+    blob::put_str(out, name);
+    blob::put<std::uint64_t>(out, d);
+    ++nc;
+  }
+  std::uint32_t nh = 0;
+  for (const auto& [name, h] : end.histograms) {
+    auto it = base.histograms.find(name);
+    const Snapshot::Hist* b = it == base.histograms.end() ? nullptr : &it->second;
+    const std::uint64_t count_d = h.count - (b ? b->count : 0);
+    const double sum_d = h.sum - (b ? b->sum : 0.0);
+    if (count_d == 0 && sum_d == 0.0) continue;
+    std::vector<std::uint64_t> buckets(h.buckets.size());
+    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+      buckets[i] = h.buckets[i] - (b && i < b->buckets.size() ? b->buckets[i] : 0);
+    }
+    blob::put_str(out, name);
+    blob::put_pod_vec(out, buckets);
+    blob::put<std::uint64_t>(out, count_d);
+    blob::put<double>(out, sum_d);
+    ++nh;
+  }
+  if (nc == 0 && nh == 0) return {};
+  std::memcpy(out.data(), &nc, sizeof nc);
+  std::memcpy(out.data() + sizeof nc, &nh, sizeof nh);
+  return out;
+}
+
+void absorb_delta(Registry& reg, const std::byte* p, std::size_t len) {
+  blob::Reader in(p, len, "metrics::absorb_delta");
+  const auto nc = in.get<std::uint32_t>();
+  const auto nh = in.get<std::uint32_t>();
+  // Every entry takes at least a 4-byte name length, so the counts are
+  // bounded by the blob before anything is sized from them.
+  in.need(std::uint64_t{nc} + nh, sizeof(std::uint32_t));
+  std::vector<std::pair<std::string, std::uint64_t>> counters(nc);
+  for (auto& [name, d] : counters) {
+    name = in.get_str();
+    d = in.get<std::uint64_t>();
+  }
+  struct HistDelta {
+    std::string name;
+    std::vector<std::uint64_t> buckets;
+    std::uint64_t count = 0;
+    double sum = 0.0;
+  };
+  std::vector<HistDelta> hists(nh);
+  for (HistDelta& h : hists) {
+    h.name = in.get_str();
+    h.buckets = in.get_pod_vec<std::uint64_t>();
+    h.count = in.get<std::uint64_t>();
+    h.sum = in.get<double>();
+  }
+  for (const auto& [name, d] : counters) reg.counter(name)->add(0, d);
+  for (const HistDelta& h : hists) reg.histogram(h.name)->absorb(h.buckets, h.count, h.sum);
 }
 
 }  // namespace fxpar::metrics

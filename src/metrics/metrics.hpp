@@ -7,7 +7,7 @@
 // live (Prometheus text exposition or JSON).
 //
 // Concurrency model: every metric is *sharded* by worker index, the same
-// way ThreadedBackend::Worker keeps its per-thread accounting. A shard is
+// way the exec rank runtime keeps its per-rank accounting. A shard is
 // a cache-line-aligned block of relaxed atomics; the hot-path update is a
 // single relaxed fetch_add on the caller's own shard, so concurrent
 // workers never contend on a line. snapshot() merges the shards. Gauges
@@ -24,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -142,9 +143,9 @@ class Histogram {
   }
 
   /// Folds externally-accumulated samples into shard 0: per-bucket count
-  /// deltas, a total-count delta and a sum delta. The proc backend uses
-  /// this to absorb a forked child's histogram activity (its end-of-run
-  /// snapshot minus its fork-time snapshot) into the parent's registry.
+  /// deltas, a total-count delta and a sum delta. absorb_delta() uses this
+  /// to fold a forked rank's histogram activity (its end-of-run snapshot
+  /// minus its fork-time snapshot) into the parent's registry.
   /// Call from a single thread (the driver) once the workers are done.
   void absorb(const std::vector<std::uint64_t>& bucket_deltas, std::uint64_t count_delta,
               double sum_delta) noexcept {
@@ -248,6 +249,18 @@ class Registry {
   std::map<std::string, Gauge*> gauges_;
   std::map<std::string, Histogram*> hists_;
 };
+
+/// Residue codec of a forked rank: serializes `end - base` for every
+/// counter and histogram — what the rank observed between fork and finish.
+/// Gauges are skipped by design: rank 0 / the caller of Machine::run sets
+/// them, they are not per-rank accumulations. Empty when nothing changed.
+std::vector<std::byte> serialize_delta(const Snapshot& base, const Snapshot& end);
+
+/// Applies a serialize_delta() blob to `reg` (counters into shard 0,
+/// histograms through Histogram::absorb). The whole blob is parsed before
+/// any metric is touched; a short or malformed one throws
+/// std::runtime_error and leaves `reg` unchanged.
+void absorb_delta(Registry& reg, const std::byte* p, std::size_t len);
 
 /// Periodic snapshot collector for long-running drivers. Single-threaded
 /// use: the driver calls poll() at convenient points (e.g. once per data

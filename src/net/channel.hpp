@@ -1,19 +1,20 @@
-// fxnet: byte-frame transport seam for the process-per-rank backend.
+// fxnet: frame transport seam under the exec rank runtime.
 //
-// A Transport is created by the parent process *before* forking: it owns
-// whatever shared resources the ranks will communicate through (a shared
-// memory region of per-rank rings, or a mesh of pre-connected loopback TCP
-// sockets). Each rank — parent or forked child — then attach()es exactly
-// one Channel endpoint for itself and moves frames through it:
+// A Transport is created by the launching process before the ranks start:
+// it owns whatever the ranks communicate through — per-rank in-process
+// inboxes (LocalTransport, ranks are threads), a shared-memory region of
+// per-rank rings, or a mesh of pre-connected loopback TCP sockets (ranks
+// are forked processes). Each rank then attach()es exactly one Channel
+// endpoint for itself and moves frames through it:
 //
-//   [Frame] kind | src | tag | payload-bytes
+//   [Frame] kind | src | tag | trace id | send time | payload-bytes
 //
 // The contract mirrors the mailbox semantics of the exec seam
 // (docs/execution.md, "Determinism contract"): frames from one source
 // arrive in the order they were sent, so per-(src, tag) FIFO matching in
 // the consumer reproduces the simulator's deterministic message order.
 // Everything above framing — matching, barriers, abort — lives in
-// exec::ProcBackend; the transports stay dumb byte movers so a future
+// exec::RankRuntime; the transports stay dumb frame movers so a future
 // multi-node transport can slot in behind the same interface.
 #pragma once
 
@@ -22,6 +23,7 @@
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace fxpar::net {
@@ -39,11 +41,13 @@ enum class FrameKind : std::uint32_t {
   Done = 4,     ///< child finished; no further frames follow
 };
 
-/// One reassembled frame, as handed to the consumer by Channel::drain().
+/// One frame, as handed to Channel::send() and back out of drain().
 struct Frame {
   FrameKind kind = FrameKind::Data;
   int src = -1;
   std::uint64_t tag = 0;
+  std::uint64_t trace_id = 0;  ///< TraceRecorder message id (0 = untraced)
+  double sent_at = 0.0;        ///< sender's clock at send (trace cause edge)
   std::vector<std::byte> payload;
 };
 
@@ -60,18 +64,28 @@ class Channel {
  public:
   virtual ~Channel() = default;
 
-  /// "shm" / "tcp" (stable spelling used by bench records and CLIs).
+  /// "local" / "shm" / "tcp" (stable spelling used by bench records and CLIs).
   virtual const char* transport() const noexcept = 0;
 
   /// Rank this endpoint was attached as.
   virtual int rank() const noexcept = 0;
 
-  /// Sends one frame to `dst`. May block (ring full / socket buffer full)
-  /// until the consumer drains; honors the stop flag (throws
-  /// ChannelStopped). `dst == rank()` is a caller error — self-sends are
-  /// matched locally by the backend and never reach a transport.
-  virtual void send(int dst, FrameKind kind, std::uint64_t tag, const std::byte* data,
-                    std::size_t len) = 0;
+  /// Sends `frame` to `dst`, stamping `frame.src` with rank(). May block
+  /// (ring full / socket buffer full) until the consumer drains; honors
+  /// the stop flag (throws ChannelStopped). `dst == rank()` is a caller
+  /// error — self-sends are matched locally by the runtime and never reach
+  /// a transport. Byte transports copy the payload onto the wire; the
+  /// in-process transport moves it to the receiver.
+  virtual void send(int dst, Frame frame) = 0;
+
+  /// Convenience: sends a copy of [data, data + len).
+  void send(int dst, FrameKind kind, std::uint64_t tag, const std::byte* data, std::size_t len) {
+    Frame f;
+    f.kind = kind;
+    f.tag = tag;
+    if (len > 0) f.payload.assign(data, data + len);
+    send(dst, std::move(f));
+  }
 
   /// Appends every fully received frame to `out` without blocking; returns
   /// true when at least one frame was appended. Partially transmitted
@@ -85,9 +99,9 @@ class Channel {
 
   /// Installs a stop flag observed by blocking operations: when it becomes
   /// nonzero, send() throws ChannelStopped and wait() returns promptly.
-  /// The pointed-to word must outlive the channel (the proc backend points
-  /// it at the abort word in its shared control block, so every process
-  /// observes the same stop).
+  /// The pointed-to word must outlive the channel (the rank runtime points
+  /// it at the abort word in its control block, so every rank observes the
+  /// same stop).
   void set_stop(const std::atomic<std::uint32_t>* stop) noexcept { stop_ = stop; }
 
  protected:
@@ -99,7 +113,7 @@ class Channel {
   const std::atomic<std::uint32_t>* stop_ = nullptr;
 };
 
-/// Factory for one run's channels, created in the parent before fork.
+/// Factory for one run's channels, created before the ranks start.
 class Transport {
  public:
   virtual ~Transport() = default;
@@ -108,12 +122,13 @@ class Transport {
   virtual int num_ranks() const noexcept = 0;
 
   /// Endpoint for `rank`. After fork each process attaches as its own rank;
-  /// in-process tests may attach several ranks from one address space.
+  /// threads (and in-process tests) attach several ranks from one address
+  /// space.
   virtual std::unique_ptr<Channel> attach(int rank) = 0;
 
   /// Drops resources belonging to ranks other than `rank` (a forked child
   /// closes the socket ends it inherited but does not own). No-op where
-  /// resources are naturally shared (shm).
+  /// resources are naturally shared (local, shm).
   virtual void isolate(int /*rank*/) {}
 };
 

@@ -13,12 +13,7 @@
 #include <system_error>
 #include <thread>
 
-#ifdef __linux__
-#include <linux/futex.h>
-#include <sys/syscall.h>
-#include <sys/time.h>
-#endif
-
+#include "net/futex.hpp"
 #include "net/wire.hpp"
 
 namespace fxpar::net {
@@ -50,35 +45,6 @@ struct ShmRegion {
   }
 };
 
-namespace {
-
-void futex_wake_word(std::atomic<std::uint32_t>* w) {
-#ifdef __linux__
-  ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(w), FUTEX_WAKE, INT32_MAX,
-            nullptr, nullptr, 0);
-#else
-  (void)w;
-#endif
-}
-
-/// Waits for *w to change from `seen` (or timeout). Spurious returns fine.
-void futex_wait_word(std::atomic<std::uint32_t>* w, std::uint32_t seen,
-                     double timeout_s) {
-#ifdef __linux__
-  timespec ts;
-  ts.tv_sec = static_cast<time_t>(timeout_s);
-  ts.tv_nsec = static_cast<long>((timeout_s - static_cast<double>(ts.tv_sec)) * 1e9);
-  ::syscall(SYS_futex, reinterpret_cast<std::uint32_t*>(w), FUTEX_WAIT, seen, &ts,
-            nullptr, 0);
-#else
-  (void)w;
-  (void)seen;
-  std::this_thread::sleep_for(
-      std::chrono::nanoseconds(static_cast<long long>(timeout_s * 1e9)));
-#endif
-}
-
-}  // namespace
 }  // namespace detail
 
 using detail::RingHdr;
@@ -141,8 +107,7 @@ std::unique_ptr<Channel> ShmTransport::attach(int rank) {
 // ---------------------------------------------------------------------------
 // ShmChannel
 
-void ShmChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byte* data,
-                      std::size_t len) {
+void ShmChannel::send(int dst, Frame frame) {
   if (dst < 0 || dst >= t_->num_ranks_ || dst == rank_) {
     throw std::out_of_range("ShmChannel::send: bad destination " + std::to_string(dst));
   }
@@ -151,6 +116,8 @@ void ShmChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byt
   RingHdr* h = ShmRegion::hdr(base, t_->num_ranks_, cap, dst);
   std::byte* ring = ShmRegion::data(base, t_->num_ranks_, cap, dst);
   const std::size_t max_piece = cap / 4;
+  const std::byte* data = frame.payload.data();
+  const std::size_t len = frame.payload.size();
 
   // Producer lock: held across every piece of the frame so pieces land
   // contiguously and per-source order is the ring order.
@@ -182,11 +149,13 @@ void ShmChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byt
     }
     WireHdr w;
     w.len = static_cast<std::uint32_t>(piece);
-    w.kind = static_cast<std::uint32_t>(kind) |
+    w.kind = static_cast<std::uint32_t>(frame.kind) |
              (off + piece < len ? detail::kPartialFlag : 0u);
     w.src = rank_;
     w.pad = 0;
-    w.tag = tag;
+    w.tag = frame.tag;
+    w.trace_id = frame.trace_id;
+    w.sent_at = frame.sent_at;
     const auto put = [&](const void* p, std::size_t n) {
       const std::size_t at = static_cast<std::size_t>(tail % cap);
       const std::size_t first = std::min(n, cap - at);
@@ -200,7 +169,7 @@ void ShmChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byt
     if (piece > 0) put(data + off, piece);
     h->tail.store(tail, std::memory_order_release);
     h->doorbell.fetch_add(1, std::memory_order_release);
-    detail::futex_wake_word(&h->doorbell);
+    detail::futex_wake_all(&h->doorbell);
     off += piece;
   } while (off < len);
 }
@@ -233,6 +202,8 @@ bool ShmChannel::drain(std::vector<Frame>& out) {
       pend.kind = kind;
       pend.src = w.src;
       pend.tag = w.tag;
+      pend.trace_id = w.trace_id;
+      pend.sent_at = w.sent_at;
     }
     const std::size_t at = pend.payload.size();
     pend.payload.resize(at + w.len);
@@ -256,7 +227,7 @@ bool ShmChannel::wait(double timeout_s) {
     return true;
   }
   if (stopped()) return true;
-  detail::futex_wait_word(&h->doorbell, seen, timeout_s);
+  detail::futex_wait(&h->doorbell, seen, timeout_s);
   return h->doorbell.load(std::memory_order_acquire) != seen;
 }
 

@@ -52,8 +52,8 @@ class ShmChannel final : public Channel {
   const char* transport() const noexcept override { return "shm"; }
   int rank() const noexcept override { return rank_; }
 
-  void send(int dst, FrameKind kind, std::uint64_t tag, const std::byte* data,
-            std::size_t len) override;
+  using Channel::send;
+  void send(int dst, Frame frame) override;
   bool drain(std::vector<Frame>& out) override;
   bool wait(double timeout_s) override;
 

@@ -134,20 +134,22 @@ TcpChannel::TcpChannel(TcpTransport* t, int rank) : t_(t), rank_(rank) {
   streams_.resize(static_cast<std::size_t>(t_->num_ranks_));
 }
 
-void TcpChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byte* data,
-                      std::size_t len) {
+void TcpChannel::send(int dst, Frame frame) {
   if (dst < 0 || dst >= t_->num_ranks_ || dst == rank_) {
     throw std::out_of_range("TcpChannel::send: bad destination " + std::to_string(dst));
   }
   const int fd = t_->fd(rank_, dst);
   if (fd < 0) throw std::logic_error("TcpChannel::send: fd closed (isolated rank?)");
 
+  const std::size_t len = frame.payload.size();
   detail::WireHdr w;
   w.len = static_cast<std::uint32_t>(len);
-  w.kind = static_cast<std::uint32_t>(kind);
+  w.kind = static_cast<std::uint32_t>(frame.kind);
   w.src = rank_;
   w.pad = 0;
-  w.tag = tag;
+  w.tag = frame.tag;
+  w.trace_id = frame.trace_id;
+  w.sent_at = frame.sent_at;
 
   // Write header then payload; the socket is non-blocking so a full buffer
   // shows up as a short/EAGAIN write — poll for space while watching the
@@ -169,7 +171,7 @@ void TcpChannel::send(int dst, FrameKind kind, std::uint64_t tag, const std::byt
     }
   };
   put(reinterpret_cast<const std::byte*>(&w), sizeof(w));
-  if (len > 0) put(data, len);
+  if (len > 0) put(frame.payload.data(), len);
 }
 
 bool TcpChannel::drain(std::vector<Frame>& out) {
@@ -200,6 +202,8 @@ bool TcpChannel::drain(std::vector<Frame>& out) {
       f.kind = static_cast<FrameKind>(w.kind & ~detail::kPartialFlag);
       f.src = w.src;
       f.tag = w.tag;
+      f.trace_id = w.trace_id;
+      f.sent_at = w.sent_at;
       f.payload.assign(buf.data() + off + sizeof(w), buf.data() + off + sizeof(w) + w.len);
       out.push_back(std::move(f));
       any = true;

@@ -1,12 +1,12 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <stdexcept>
-#include <type_traits>
 #include <unordered_map>
 #include <utility>
+
+#include "metrics/blob.hpp"
 
 namespace fxpar::trace {
 
@@ -338,72 +338,9 @@ void TraceRecorder::merge_concurrent() {
   steals_pp_.clear();
 }
 
-namespace {
-
 // Shard blobs travel between a forked child and its parent — the same
 // binary image — so trivially-copyable records ship as raw bytes; only
 // Span needs per-field treatment for its strings.
-
-void put_raw(std::vector<std::byte>& out, const void* p, std::size_t n) {
-  const auto* b = static_cast<const std::byte*>(p);
-  out.insert(out.end(), b, b + n);
-}
-
-template <class T>
-void put(std::vector<std::byte>& out, const T& v) {
-  put_raw(out, &v, sizeof v);
-}
-
-void put_str(std::vector<std::byte>& out, const std::string& s) {
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
-  put_raw(out, s.data(), s.size());
-}
-
-template <class T>
-T get(const std::byte* p, std::size_t len, std::size_t& off) {
-  if (sizeof(T) > len - off) {
-    throw std::runtime_error("TraceRecorder::absorb_shard: truncated blob");
-  }
-  T v;
-  std::memcpy(&v, p + off, sizeof v);
-  off += sizeof v;
-  return v;
-}
-
-std::string get_str(const std::byte* p, std::size_t len, std::size_t& off) {
-  const auto n = get<std::uint32_t>(p, len, off);
-  if (n > len - off) {
-    throw std::runtime_error("TraceRecorder::absorb_shard: truncated blob");
-  }
-  std::string s(reinterpret_cast<const char*>(p) + off, n);
-  off += n;
-  return s;
-}
-
-template <class T>
-void put_pod_vec(std::vector<std::byte>& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  put<std::uint64_t>(out, static_cast<std::uint64_t>(v.size()));
-  if (!v.empty()) put_raw(out, v.data(), v.size() * sizeof(T));
-}
-
-template <class T>
-std::vector<T> get_pod_vec(const std::byte* p, std::size_t len, std::size_t& off) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const auto n = get<std::uint64_t>(p, len, off);
-  if (n > (len - off) / sizeof(T)) {
-    throw std::runtime_error("TraceRecorder::absorb_shard: truncated blob");
-  }
-  std::vector<T> v(static_cast<std::size_t>(n));
-  if (n != 0) {
-    std::memcpy(v.data(), p + off, static_cast<std::size_t>(n) * sizeof(T));
-    off += static_cast<std::size_t>(n) * sizeof(T);
-  }
-  return v;
-}
-
-}  // namespace
-
 std::vector<std::byte> TraceRecorder::serialize_shard(int proc) const {
   if (!concurrent_) {
     throw std::logic_error("TraceRecorder::serialize_shard: not in concurrent mode");
@@ -411,6 +348,7 @@ std::vector<std::byte> TraceRecorder::serialize_shard(int proc) const {
   if (proc < 0 || proc >= num_procs()) {
     throw std::out_of_range("TraceRecorder::serialize_shard: bad proc");
   }
+  using blob::put;
   const auto i = static_cast<std::size_t>(proc);
   std::vector<std::byte> out;
   put<std::int32_t>(out, proc);
@@ -420,8 +358,8 @@ std::vector<std::byte> TraceRecorder::serialize_shard(int proc) const {
     put<std::int32_t>(out, s.depth);
     put(out, s.t0);
     put(out, s.t1);
-    put_str(out, s.name);
-    put_str(out, s.category);
+    blob::put_str(out, s.name);
+    blob::put_str(out, s.category);
     put(out, s.busy);
     put(out, s.recv_wait);
     put(out, s.barrier_wait);
@@ -433,11 +371,11 @@ std::vector<std::byte> TraceRecorder::serialize_shard(int proc) const {
     put(out, s.plan_hits);
     put(out, s.plan_misses);
   }
-  put_pod_vec(out, waits_pp_[i]);
-  put_pod_vec(out, msgs_pp_[i]);
-  put_pod_vec(out, recv_pp_[i]);
-  put_pod_vec(out, bnotes_pp_[i]);
-  put_pod_vec(out, steals_pp_[i]);
+  blob::put_pod_vec(out, waits_pp_[i]);
+  blob::put_pod_vec(out, msgs_pp_[i]);
+  blob::put_pod_vec(out, recv_pp_[i]);
+  blob::put_pod_vec(out, bnotes_pp_[i]);
+  blob::put_pod_vec(out, steals_pp_[i]);
   put(out, totals_[i]);
   put(out, placements_[i]);
   put(out, last_activity_[i]);
@@ -448,44 +386,55 @@ void TraceRecorder::absorb_shard(const std::byte* data, std::size_t len) {
   if (!concurrent_) {
     throw std::logic_error("TraceRecorder::absorb_shard: not in concurrent mode");
   }
-  std::size_t off = 0;
-  const auto proc = get<std::int32_t>(data, len, off);
+  blob::Reader in(data, len, "TraceRecorder::absorb_shard");
+  const auto proc = in.get<std::int32_t>();
   if (proc < 0 || proc >= num_procs()) {
     throw std::out_of_range("TraceRecorder::absorb_shard: bad proc in blob");
   }
   const auto i = static_cast<std::size_t>(proc);
-  const auto n_spans = get<std::uint64_t>(data, len, off);
+  const auto n_spans = in.get<std::uint64_t>();
+  in.need(n_spans, 1);  // bounds the reserve below by the blob itself
   std::vector<Span> spans;
   spans.reserve(static_cast<std::size_t>(n_spans));
   for (std::uint64_t k = 0; k < n_spans; ++k) {
     Span s;
-    s.proc = get<std::int32_t>(data, len, off);
-    s.depth = get<std::int32_t>(data, len, off);
-    s.t0 = get<double>(data, len, off);
-    s.t1 = get<double>(data, len, off);
-    s.name = get_str(data, len, off);
-    s.category = get_str(data, len, off);
-    s.busy = get<double>(data, len, off);
-    s.recv_wait = get<double>(data, len, off);
-    s.barrier_wait = get<double>(data, len, off);
-    s.io_wait = get<double>(data, len, off);
-    s.messages = get<std::uint64_t>(data, len, off);
-    s.bytes = get<std::uint64_t>(data, len, off);
-    s.steals = get<std::uint64_t>(data, len, off);
-    s.stolen_iters = get<std::uint64_t>(data, len, off);
-    s.plan_hits = get<std::uint64_t>(data, len, off);
-    s.plan_misses = get<std::uint64_t>(data, len, off);
+    s.proc = in.get<std::int32_t>();
+    s.depth = in.get<std::int32_t>();
+    s.t0 = in.get<double>();
+    s.t1 = in.get<double>();
+    s.name = in.get_str();
+    s.category = in.get_str();
+    s.busy = in.get<double>();
+    s.recv_wait = in.get<double>();
+    s.barrier_wait = in.get<double>();
+    s.io_wait = in.get<double>();
+    s.messages = in.get<std::uint64_t>();
+    s.bytes = in.get<std::uint64_t>();
+    s.steals = in.get<std::uint64_t>();
+    s.stolen_iters = in.get<std::uint64_t>();
+    s.plan_hits = in.get<std::uint64_t>();
+    s.plan_misses = in.get<std::uint64_t>();
     spans.push_back(std::move(s));
   }
+  auto waits = in.get_pod_vec<Wait>();
+  auto msgs = in.get_pod_vec<MessageRecord>();
+  auto recvs = in.get_pod_vec<RecvNote>();
+  auto bnotes = in.get_pod_vec<BarrierNote>();
+  auto steals = in.get_pod_vec<StealRecord>();
+  const auto totals = in.get<ProcTotals>();
+  const auto placement = in.get<PlacementRecord>();
+  const auto last = in.get<double>();
+  // Commit only a fully parsed shard: a truncated blob leaves this
+  // recorder untouched.
   done_pp_[i] = std::move(spans);
-  waits_pp_[i] = get_pod_vec<Wait>(data, len, off);
-  msgs_pp_[i] = get_pod_vec<MessageRecord>(data, len, off);
-  recv_pp_[i] = get_pod_vec<RecvNote>(data, len, off);
-  bnotes_pp_[i] = get_pod_vec<BarrierNote>(data, len, off);
-  steals_pp_[i] = get_pod_vec<StealRecord>(data, len, off);
-  totals_[i] = get<ProcTotals>(data, len, off);
-  placements_[i] = get<PlacementRecord>(data, len, off);
-  last_activity_[i] = std::max(last_activity_[i], get<double>(data, len, off));
+  waits_pp_[i] = std::move(waits);
+  msgs_pp_[i] = std::move(msgs);
+  recv_pp_[i] = std::move(recvs);
+  bnotes_pp_[i] = std::move(bnotes);
+  steals_pp_[i] = std::move(steals);
+  totals_[i] = totals;
+  placements_[i] = placement;
+  last_activity_[i] = std::max(last_activity_[i], last);
 }
 
 void TraceRecorder::add_wait(int proc, WaitKind kind, double t0, double t1, int cause_proc,

@@ -18,6 +18,7 @@
 #include <cstring>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,7 +26,7 @@
 #include "comm/serialize.hpp"
 #include "core/parallel_loop.hpp"
 #include "dist/redistribute.hpp"
-#include "exec/threaded_backend.hpp"
+#include "exec/rank_runtime.hpp"
 #include "machine/context.hpp"
 #include "machine/machine.hpp"
 #include "machine/report.hpp"
@@ -337,6 +338,62 @@ TEST(ExecThreads, NoFalseDeadlockUnderParkRaces) {
     }
     ctx.barrier();
   });
+}
+
+// The rank runtime sizes its control block from num_procs, so threads have
+// no processor cap; 80 ranks is past any 64-bit rank mask. A ring
+// exchange, barriers of nested subgroups, then a forced deadlock whose
+// report must name each rank's block reason.
+TEST(ExecThreads, EightyRanksRingNestedBarriersAndDeadlockReport) {
+  const int P = 80, rounds = 3;
+  mx::Machine m(threaded(P));
+  std::atomic<int> checked{0};
+  const auto res = m.run([&](mx::Context& ctx) {
+    const int r = ctx.phys_rank();
+    for (int k = 0; k < rounds; ++k) {
+      ctx.send_phys((r + 1) % P, 7, stamp(r, k, 24));
+      if (ctx.recv_phys((r + P - 1) % P, 7) == stamp((r + P - 1) % P, k, 24)) {
+        checked.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    core::TaskPartition halves(ctx, {{"lo", P / 2}, {"hi", P / 2}}, "halves");
+    core::TaskRegion region(ctx, halves);
+    for (const char* half : {"lo", "hi"}) {
+      region.on(half, [&] {
+        ctx.barrier();
+        core::TaskPartition quarters(ctx, {{"a", P / 4}, {"b", P / 4}}, "quarters");
+        core::TaskRegion inner(ctx, quarters);
+        inner.on("a", [&] {
+          ctx.barrier();
+          ctx.barrier();
+        });
+        inner.on("b", [&] { ctx.barrier(); });
+      });
+    }
+    ctx.barrier();
+  });
+  EXPECT_EQ(checked.load(), P * rounds);
+  EXPECT_GE(res.messages, static_cast<std::uint64_t>(P * rounds));
+
+  // Rank 0 waits for a message nobody sends; every other rank waits at a
+  // full-group barrier rank 0 never reaches.
+  try {
+    m.run([](mx::Context& ctx) {
+      if (ctx.phys_rank() == 0) {
+        ctx.recv_phys(1, 99);
+      } else {
+        ctx.barrier();
+      }
+    });
+    ADD_FAILURE() << "expected a DeadlockError";
+  } catch (const fxpar::runtime::DeadlockError& e) {
+    const std::string report = e.what();
+    EXPECT_NE(report.find("\n  proc 0: recv"), std::string::npos) << report;
+    for (int r = 1; r < P; ++r) {
+      EXPECT_NE(report.find("\n  proc " + std::to_string(r) + ": barrier"), std::string::npos)
+          << report;
+    }
+  }
 }
 
 // Regression for a false DeadlockError on the process backend: a barrier
@@ -700,19 +757,41 @@ TEST(ExecThreads, UncontendedIoChargesNoWait) {
 // Group-key collision hardening (satellite)
 // ---------------------------------------------------------------------------
 
-// The barrier and loop-arena registries key entries on the group's 64-bit
-// content hash. Two distinct groups colliding on that key would silently
-// share a TreeBarrier (or arena) of the wrong shape; the registries now
+// The rank runtime's barrier table and loop-arena registry key entries on
+// the group's 64-bit content hash. Two distinct groups colliding on that
+// key would silently share a barrier (or arena) of the wrong shape; both
 // store the registering member list and fail loudly on mismatch. A real
 // FNV-1a collision can't be forged from small member lists, so the guard
 // is exercised directly.
 TEST(ExecBarriers, GroupKeyCollisionFailsLoudly) {
   const fxpar::pgroup::ProcessorGroup g({0, 1, 2, 3});
-  EXPECT_NO_THROW(ex::ThreadedBackend::check_group_key_match(g.members(), g, "barrier"));
-  EXPECT_THROW(ex::ThreadedBackend::check_group_key_match({0, 1}, g, "barrier"),
-               std::logic_error);
-  EXPECT_THROW(ex::ThreadedBackend::check_group_key_match({0, 1, 2, 5}, g, "run_chunks"),
-               std::logic_error);
+  const std::vector<int> shorter{0, 1}, other{0, 1, 2, 5};
+  EXPECT_NO_THROW(ex::RankRuntime::check_group_key_match(g.members(), g, "barrier"));
+  EXPECT_THROW(ex::RankRuntime::check_group_key_match(shorter, g, "barrier"), std::logic_error);
+  EXPECT_THROW(ex::RankRuntime::check_group_key_match(other, g, "run_chunks"), std::logic_error);
+}
+
+// The barrier table holds max(256, 8 P) distinct groups. A program that
+// synchronizes more groups than that must fail with a diagnostic naming the
+// table — never hang with members waiting on a slot that does not exist.
+TEST(ExecBarriers, FullBarrierTableFailsWithDiagnostic) {
+  const int P = 24;  // 276 distinct pairs > 256 slots
+  mx::Machine m(threaded(P));
+  try {
+    m.run([&](mx::Context& ctx) {
+      const int r = ctx.phys_rank();
+      // Pairs in one global order: every rank meets its pairs in the same
+      // sequence, so the program itself cannot deadlock.
+      for (int a = 0; a < P; ++a) {
+        for (int b = a + 1; b < P; ++b) {
+          if (r == a || r == b) ctx.barrier(fxpar::pgroup::ProcessorGroup({a, b}));
+        }
+      }
+    });
+    ADD_FAILURE() << "expected the barrier table to overflow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("barrier table full"), std::string::npos) << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -440,4 +442,64 @@ TEST(RuntimeMetrics, SampledStreamSeriesCoversTheWholeStream) {
             static_cast<std::uint64_t>(cfg.num_sets));
   EXPECT_EQ(stats.metrics_series.back().counter("fxpar_apps_pipeline_sets_total"),
             static_cast<std::uint64_t>(cfg.num_sets));
+}
+
+// ---------------------------------------------------------------------------
+// Forked-rank residue codec (serialize_delta / absorb_delta)
+
+TEST(MetricsDelta, RoundTripAppliesCounterAndHistogramDeltas) {
+  fxpar::metrics::Registry child(2);
+  child.counter("fxpar_test_events")->add(1, 3);
+  const auto base = child.snapshot();
+  child.counter("fxpar_test_events")->add(0, 4);
+  child.histogram("fxpar_test_wait_s")->observe(1, 0.5);
+  const auto blob = fxpar::metrics::serialize_delta(base, child.snapshot());
+  ASSERT_FALSE(blob.empty());
+
+  fxpar::metrics::Registry parent(2);
+  parent.counter("fxpar_test_events")->add(0, 10);
+  fxpar::metrics::absorb_delta(parent, blob.data(), blob.size());
+  const auto snap = parent.snapshot();
+  EXPECT_EQ(snap.counter("fxpar_test_events"), 14u);
+  ASSERT_EQ(snap.histograms.count("fxpar_test_wait_s"), 1u);
+  EXPECT_EQ(snap.histograms.at("fxpar_test_wait_s").count, 1u);
+  EXPECT_DOUBLE_EQ(snap.histograms.at("fxpar_test_wait_s").sum, 0.5);
+}
+
+// A forked rank's blob crosses a process boundary, so absorb must reject
+// every truncation cleanly — and leave the registry untouched.
+TEST(MetricsDelta, EveryStrictPrefixThrowsAndChangesNothing) {
+  fxpar::metrics::Registry child(1);
+  const auto base = child.snapshot();
+  child.counter("fxpar_test_events")->add(0, 7);
+  child.histogram("fxpar_test_wait_s")->observe(0, 0.25);
+  child.histogram("fxpar_test_wait_s")->observe(0, 3.0);
+  const auto blob = fxpar::metrics::serialize_delta(base, child.snapshot());
+  ASSERT_GT(blob.size(), 8u);
+  for (std::size_t n = 0; n < blob.size(); ++n) {
+    fxpar::metrics::Registry parent(1);
+    EXPECT_THROW(fxpar::metrics::absorb_delta(parent, blob.data(), n), std::runtime_error)
+        << "prefix " << n << " of " << blob.size();
+    const auto snap = parent.snapshot();
+    EXPECT_TRUE(snap.counters.empty() && snap.histograms.empty()) << "prefix " << n;
+  }
+}
+
+// A bucket count of 0xFFFFFFFF with no bytes behind it must be refused
+// before anything is sized from it (sizing first would zero-fill ~32 GiB).
+TEST(MetricsDelta, HugeBucketCountThrowsBeforeAllocating) {
+  std::vector<std::byte> blob;
+  const auto put32 = [&](std::uint32_t v) {
+    const auto* b = reinterpret_cast<const std::byte*>(&v);
+    blob.insert(blob.end(), b, b + sizeof v);
+  };
+  put32(0);  // counters
+  put32(1);  // histograms
+  put32(1);  // name length
+  blob.push_back(std::byte{'h'});
+  const std::uint64_t nb = 0xFFFFFFFFu;
+  const auto* b = reinterpret_cast<const std::byte*>(&nb);
+  blob.insert(blob.end(), b, b + sizeof nb);
+  fxpar::metrics::Registry reg(1);
+  EXPECT_THROW(fxpar::metrics::absorb_delta(reg, blob.data(), blob.size()), std::runtime_error);
 }

@@ -314,8 +314,10 @@ TEST(Diagnostics, JsonSurvivesHostileErrorText) {
   EXPECT_TRUE(fxtest::JsonChecker(j).valid()) << j;
 }
 
-TEST(Diagnostics, StallWatchdogEmitsBundle) {
-  auto cfg = backend_config(ex::BackendKind::Threads, 2);
+namespace {
+
+void expect_stall_bundle(ex::BackendKind kind) {
+  auto cfg = backend_config(kind, 2);
   cfg.stall_watchdog_s = 0.15;
   mx::Machine m(cfg);
   m.run([](mx::Context& ctx) {
@@ -330,6 +332,21 @@ TEST(Diagnostics, StallWatchdogEmitsBundle) {
   ASSERT_FALSE(bundle.empty());
   EXPECT_TRUE(fxtest::JsonChecker(bundle).valid()) << bundle;
   EXPECT_NE(bundle.find("\"reason\":\"stall\""), std::string::npos) << bundle;
+  // The other rank was parked at the barrier while rank 0 slept.
+  EXPECT_NE(bundle.find("\"block_reason\":\"barrier\""), std::string::npos) << bundle;
+}
+
+}  // namespace
+
+TEST(Diagnostics, StallWatchdogEmitsBundle) { expect_stall_bundle(ex::BackendKind::Threads); }
+
+TEST(Diagnostics, StallWatchdogEmitsBundleProc) {
+#ifdef FXPAR_TSAN
+  GTEST_SKIP() << "fork-per-rank backend is incompatible with ThreadSanitizer";
+#endif
+  // The watchdog thread lives in the parent and reads progress from the
+  // shared control block, so it sees the forked rank parked too.
+  expect_stall_bundle(ex::BackendKind::Proc);
 }
 
 // ---------------------------------------------------------------------------

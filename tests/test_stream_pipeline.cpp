@@ -3,7 +3,17 @@
 // program with fully controlled costs.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "apps/stream_pipeline.hpp"
+
+#if defined(__SANITIZE_THREAD__)
+#define FXPAR_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define FXPAR_TSAN 1
+#endif
+#endif
 
 using namespace fxpar;
 namespace ap = fxpar::apps;
@@ -147,5 +157,34 @@ TEST(StreamPipeline, StartEndMonotonePerDataSet) {
     if (k > 0) {
       EXPECT_LE(s.end[static_cast<std::size_t>(k - 1)], s.end[static_cast<std::size_t>(k)]);
     }
+  }
+}
+
+// On the process backend each rank records its stream timestamps in its
+// own address space. With `[s0] p=1 | [s1] p=2` on 3 ranks the last module
+// runs on ranks 1 and 2 only, so every end stamp is written outside rank 0:
+// the executor must ship those rows to rank 0 or the statistics come out
+// non-finite.
+TEST(StreamPipeline, ProcStatsFiniteWhenLastModuleExcludesRankZero) {
+#ifdef FXPAR_TSAN
+  GTEST_SKIP() << "fork-per-rank backend is incompatible with ThreadSanitizer";
+#endif
+  const auto st = synth_stages(1.0, 1.0);
+  for (const auto transport : {exec::TransportKind::Shm, exec::TransportKind::Tcp}) {
+    SCOPED_TRACE(exec::transport_kind_name(transport));
+    auto c = cfg(3);
+    c.backend = exec::BackendKind::Proc;
+    c.transport = transport;
+    const int sets = 8;
+    const auto s = ap::run_stream_pipeline<double>(c, st, {{0, 0, 1, 1}, {1, 1, 2, 1}}, sets);
+    ASSERT_EQ(s.start.size(), static_cast<std::size_t>(sets));
+    for (int k = 0; k < sets; ++k) {
+      EXPECT_TRUE(std::isfinite(s.start[static_cast<std::size_t>(k)])) << "set " << k;
+      EXPECT_TRUE(std::isfinite(s.end[static_cast<std::size_t>(k)])) << "set " << k;
+    }
+    EXPECT_TRUE(std::isfinite(s.avg_latency()));
+    EXPECT_GT(s.avg_latency(), 0.0);
+    EXPECT_TRUE(std::isfinite(s.steady_throughput()));
+    EXPECT_GT(s.steady_throughput(), 0.0);
   }
 }

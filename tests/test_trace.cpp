@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstddef>
 #include <limits>
+#include <stdexcept>
 #include <string>
 
 #include "core/fx.hpp"
@@ -502,4 +504,32 @@ TEST(Trace, ChromeExportNonFiniteAccountingEmitsNull) {
   EXPECT_NE(json.find("null"), std::string::npos);
   EXPECT_EQ(json.find("inf"), std::string::npos);
   EXPECT_EQ(json.find("nan"), std::string::npos);
+}
+
+// A forked rank's trace shard crosses a process boundary: absorb_shard
+// must reject every truncation with std::runtime_error.
+TEST(Trace, ShardEveryStrictPrefixThrows) {
+  tr::TraceRecorder child(2);
+  double t = 0.0;
+  child.set_clock([&](int) { return t; });
+  child.set_concurrent(2);
+  child.begin_span(1, "work", "test");
+  t = 1.0;
+  const auto id = child.message_sent(1, 0, 7, 64, 0.5, 0.5);
+  EXPECT_NE(id, 0u);
+  child.barrier_record(42, 1, 1, 1.0, 1.5, 0, 1.2);
+  child.io_wait(1, 1.5, 2.0, 0, 1.5);
+  t = 2.5;
+  child.end_span(1);
+  const auto blob = child.serialize_shard(1);
+
+  tr::TraceRecorder parent(2);
+  parent.set_concurrent(2);
+  EXPECT_NO_THROW(parent.absorb_shard(blob.data(), blob.size()));
+  for (std::size_t n = 0; n < blob.size(); ++n) {
+    tr::TraceRecorder fresh(2);
+    fresh.set_concurrent(2);
+    EXPECT_THROW(fresh.absorb_shard(blob.data(), n), std::runtime_error)
+        << "prefix " << n << " of " << blob.size();
+  }
 }
