@@ -9,6 +9,7 @@
 // docs/performance.md.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -110,20 +111,53 @@ void BM_Transpose2D(benchmark::State& state) {
 }
 BENCHMARK(BM_Transpose2D)->Arg(64)->Arg(256);
 
-void BM_FftKernel(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
+// Flop rate at the modeled 5 n log2 n per transform, printed as e.g.
+// "flops=4.9G/s". Each iteration copies the input back first, so the rate
+// includes that copy.
+void set_fft_rate(benchmark::State& state, double flops_per_iter) {
+  state.counters["flops"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * flops_per_iter, benchmark::Counter::kIsRate);
+}
+
+std::vector<ap::Complex> fft_input(std::size_t n) {
   std::vector<ap::Complex> data(n);
   for (std::size_t i = 0; i < n; ++i) {
     data[i] = ap::Complex(static_cast<double>(i % 17), static_cast<double>(i % 5));
   }
+  return data;
+}
+
+void BM_FftKernel(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto data = fft_input(n);
+  auto work = data;
   for (auto _ : state) {
-    auto copy = data;
-    ap::fft_inplace(copy);
-    benchmark::DoNotOptimize(copy.data());
+    std::copy(data.begin(), data.end(), work.begin());
+    ap::fft_inplace(work);
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+  set_fft_rate(state, ap::fft_flops(static_cast<std::int64_t>(n)));
 }
 BENCHMARK(BM_FftKernel)->Arg(256)->Arg(1024)->Arg(4096);
+
+// Every column of a row-major rows x cols block: the cffts stage's kernel.
+void BM_FftColumns(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  const auto cols = static_cast<std::size_t>(state.range(1));
+  const auto data = fft_input(rows * cols);
+  auto work = data;
+  for (auto _ : state) {
+    std::copy(data.begin(), data.end(), work.begin());
+    ap::fft_columns(work, rows, cols);
+    benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(rows * cols));
+  set_fft_rate(state, static_cast<double>(cols) * ap::fft_flops(static_cast<std::int64_t>(rows)));
+}
+BENCHMARK(BM_FftColumns)->Args({256, 256});
 
 // Repeated same-layout redistribution inside one machine run: the case the
 // plan cache targets. range(1) toggles MachineConfig::plan_cache.

@@ -1,43 +1,145 @@
 #include "apps/fft.hpp"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <mutex>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 namespace fxpar::apps {
+
+namespace {
+
+// Read-only tables for one size n = 2^lg: twiddle k is (cos[k], sin[k]) =
+// cos/sin(2 pi k / n) for k < n/2, and rev[i] is i with its lg low bits
+// reversed.
+struct FftTable {
+  std::vector<double> cos, sin;
+  std::vector<std::size_t> rev;
+};
+
+// One slot per bit of std::size_t, so every power-of-two size has one.
+// Both arrays are constant-initialized, so they are usable from any
+// static initializer.
+constexpr std::size_t kMaxLog2 = std::numeric_limits<std::size_t>::digits;
+std::array<std::once_flag, kMaxLog2> g_table_once;
+std::array<FftTable, kMaxLog2> g_tables;
+
+const FftTable& fft_table(std::size_t lg) {
+  std::call_once(g_table_once[lg], [lg] {
+    FftTable& t = g_tables[lg];
+    const std::size_t n = std::size_t{1} << lg;
+    t.cos.resize(n / 2);
+    t.sin.resize(n / 2);
+    for (std::size_t k = 0; k < n / 2; ++k) {
+      const double ang =
+          2.0 * std::numbers::pi * static_cast<double>(k) / static_cast<double>(n);
+      t.cos[k] = std::cos(ang);
+      t.sin[k] = std::sin(ang);
+    }
+    t.rev.assign(n, 0);
+    for (std::size_t i = 1; i < n; ++i) t.rev[i] = (t.rev[i >> 1] >> 1) | ((i & 1) << (lg - 1));
+  });
+  return g_tables[lg];
+}
+
+// Validates a transform length and returns its log2.
+std::size_t checked_log2(std::size_t n, const char* what) {
+  if (!is_pow2(static_cast<std::int64_t>(n))) {
+    throw std::invalid_argument(std::string(what) + ": size must be a power of two");
+  }
+  return static_cast<std::size_t>(std::countr_zero(n));
+}
+
+// The radix-2 butterfly on the complex pair at p and q (interleaved
+// re, im) with twiddle (wr, wi): q *= w, then (p, q) = (p + q, p - q).
+// Both kernels go through this one expression, which is what makes
+// fft_columns bitwise equal to fft_inplace per column.
+inline void butterfly(double* p, double* q, double wr, double wi) {
+  const double br = q[0], bi = q[1];
+  const double vr = br * wr - bi * wi;
+  const double vi = br * wi + bi * wr;
+  const double ur = p[0], ui = p[1];
+  p[0] = ur + vr;
+  p[1] = ui + vi;
+  q[0] = ur - vr;
+  q[1] = ui - vi;
+}
+
+// The forward transform uses twiddles exp(-2 pi i k/len), the inverse
+// exp(+2 pi i k/len): only the sign of the imaginary part differs, and
+// multiplying by +-1 is exact.
+double twiddle_sign(bool inverse) { return inverse ? 1.0 : -1.0; }
+
+void scale_inverse(std::span<Complex> data, std::size_t n) {
+  const double scale = 1.0 / static_cast<double>(n);
+  for (Complex& z : data) z *= scale;
+}
+
+}  // namespace
 
 bool is_pow2(std::int64_t n) { return n > 0 && (n & (n - 1)) == 0; }
 
 void fft_inplace(std::span<Complex> data, bool inverse) {
   const std::size_t n = data.size();
-  if (!is_pow2(static_cast<std::int64_t>(n))) {
-    throw std::invalid_argument("fft_inplace: size must be a power of two");
+  const std::size_t lg = checked_log2(n, "fft_inplace");
+  const auto& rev = fft_table(lg).rev;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (i < rev[i]) std::swap(data[i], data[rev[i]]);
   }
-  // Bit-reversal permutation.
-  for (std::size_t i = 1, j = 0; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double ang = (inverse ? 2.0 : -2.0) * std::numbers::pi / static_cast<double>(len);
-    const Complex wlen(std::cos(ang), std::sin(ang));
-    for (std::size_t i = 0; i < n; i += len) {
-      Complex w(1.0, 0.0);
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const Complex u = data[i + k];
-        const Complex v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
+  // std::complex<double> is layout-compatible with double[2].
+  double* a = reinterpret_cast<double*>(data.data());
+  const double sign = twiddle_sign(inverse);
+  for (std::size_t s = 1; s <= lg; ++s) {
+    const std::size_t half = std::size_t{1} << (s - 1);
+    const auto& tw = fft_table(s);
+    for (std::size_t i = 0; i < n; i += 2 * half) {
+      double* p = a + 2 * i;
+      double* q = p + 2 * half;
+      for (std::size_t k = 0; k < half; ++k) {
+        butterfly(p + 2 * k, q + 2 * k, tw.cos[k], sign * tw.sin[k]);
       }
     }
   }
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n);
-    for (Complex& z : data) z *= scale;
+  if (inverse) scale_inverse(data, n);
+}
+
+void fft_columns(std::span<Complex> data, std::size_t rows, std::size_t cols, bool inverse) {
+  const std::size_t lg = checked_log2(rows, "fft_columns");
+  // The division guards the product against overflow.
+  if ((cols != 0 && rows > data.size() / cols) || data.size() != rows * cols) {
+    throw std::out_of_range("fft_columns: span is not rows x cols");
   }
+  if (cols == 0) return;
+  // Bit reversal moves whole rows.
+  const auto& rev = fft_table(lg).rev;
+  for (std::size_t i = 1; i < rows; ++i) {
+    if (i < rev[i]) {
+      std::swap_ranges(data.begin() + static_cast<std::ptrdiff_t>(i * cols),
+                       data.begin() + static_cast<std::ptrdiff_t>((i + 1) * cols),
+                       data.begin() + static_cast<std::ptrdiff_t>(rev[i] * cols));
+    }
+  }
+  double* a = reinterpret_cast<double*>(data.data());
+  const std::size_t row = 2 * cols;  // doubles per row
+  const double sign = twiddle_sign(inverse);
+  for (std::size_t s = 1; s <= lg; ++s) {
+    const std::size_t half = std::size_t{1} << (s - 1);
+    const auto& tw = fft_table(s);
+    for (std::size_t i = 0; i < rows; i += 2 * half) {
+      for (std::size_t k = 0; k < half; ++k) {
+        const double wr = tw.cos[k], wi = sign * tw.sin[k];
+        double* __restrict__ p = a + (i + k) * row;
+        double* __restrict__ q = p + half * row;
+        for (std::size_t c = 0; c < row; c += 2) butterfly(p + c, q + c, wr, wi);
+      }
+    }
+  }
+  if (inverse) scale_inverse(data, rows);
 }
 
 std::vector<Complex> naive_dft(std::span<const Complex> data, bool inverse) {
@@ -54,22 +156,6 @@ std::vector<Complex> naive_dft(std::span<const Complex> data, bool inverse) {
     out[k] = inverse ? acc / static_cast<double>(n) : acc;
   }
   return out;
-}
-
-void fft_strided(std::span<Complex> data, std::size_t offset, std::size_t stride,
-                 std::size_t n, bool inverse) {
-  if (stride == 0) throw std::invalid_argument("fft_strided: zero stride");
-  if (offset + (n - 1) * stride >= data.size()) {
-    throw std::out_of_range("fft_strided: span too small");
-  }
-  if (stride == 1) {
-    fft_inplace(data.subspan(offset, n), inverse);
-    return;
-  }
-  std::vector<Complex> tmp(n);
-  for (std::size_t k = 0; k < n; ++k) tmp[k] = data[offset + k * stride];
-  fft_inplace(tmp, inverse);
-  for (std::size_t k = 0; k < n; ++k) data[offset + k * stride] = tmp[k];
 }
 
 double fft_flops(std::int64_t n) {

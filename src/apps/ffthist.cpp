@@ -51,10 +51,7 @@ std::vector<std::int64_t> ffthist_reference(const FftHistConfig& cfg, int k) {
     }
   }
   // Column FFTs then row FFTs.
-  for (std::int64_t j = 0; j < n; ++j) {
-    fft_strided(a, static_cast<std::size_t>(j), static_cast<std::size_t>(n),
-                static_cast<std::size_t>(n));
-  }
+  fft_columns(a, static_cast<std::size_t>(n), static_cast<std::size_t>(n));
   for (std::int64_t i = 0; i < n; ++i) {
     fft_inplace(std::span<Complex>(a).subspan(static_cast<std::size_t>(i * n),
                                               static_cast<std::size_t>(n)));
@@ -83,11 +80,7 @@ std::vector<PipelineStage<Complex>> ffthist_stages(
     const std::int64_t cols = ext[1];
     out.fill([&](std::span<const std::int64_t> g) { return ffthist_input(k, g[0], g[1]); });
     ctx.charge_flops(kGenFlopsPerElem * static_cast<double>(n) * static_cast<double>(cols));
-    auto local = out.local();
-    for (std::int64_t c = 0; c < cols; ++c) {
-      fft_strided(local, static_cast<std::size_t>(c), static_cast<std::size_t>(cols),
-                  static_cast<std::size_t>(n));
-    }
+    fft_columns(out.local(), static_cast<std::size_t>(n), static_cast<std::size_t>(cols));
     ctx.charge_flops(static_cast<double>(cols) * fft_flops(n));
   };
 

@@ -518,6 +518,15 @@ struct IrregularRun {
 // whose chunks can be stolen too) records the worker that actually ran
 // iteration i — under stealing that can differ from the static owner, but
 // the *results* must not.
+//
+// A steal needs a sibling to run while rank 0 still holds chunks, which an
+// oversubscribed host may not schedule: a sibling that finds no published
+// chunk leaves the loop, and a rank 0 that is descheduled runs its whole
+// block alone. So on the threaded backend with stealing on, each side
+// yield-spins (bounded by a 10 s deadline) in its first iteration: a
+// sibling until rank 0 has started, and so published its chunks; rank 0
+// until another rank has run an iteration of rank 0's block. That makes
+// the steal certain without changing what any assertion checks.
 IrregularRun run_irregular_loop(const MachineConfig& cfg, std::int64_t n = kIrrN) {
   mx::Machine m(cfg);
   IrregularRun r;
@@ -528,9 +537,24 @@ IrregularRun run_irregular_loop(const MachineConfig& cfg, std::int64_t n = kIrrN
   int* who = r.who.data();
   int* who_reduce = r.who_reduce.data();
   double* reduced = &r.reduced;
+  const bool await_thief = cfg.backend == ex::BackendKind::Threads && cfg.work_stealing;
+  const std::int64_t block0_end = ex::loop_block(0, n, cfg.num_procs, 0).second;
+  std::atomic<bool> rank0_started{false}, block0_stolen{false};
+  const auto spin_until = [](const std::atomic<bool>& flag) {
+    if (flag.load(std::memory_order_acquire)) return;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!flag.load(std::memory_order_acquire) &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
   r.res = m.run([&, n](mx::Context& ctx) {
-    core::parallel_for(ctx, 0, n, [&ctx, out, who, n](std::int64_t i) {
-      who[i] = ctx.machine().backend().current_rank();
+    core::parallel_for(ctx, 0, n, [&](std::int64_t i) {
+      const int rank = ctx.machine().backend().current_rank();
+      who[i] = rank;
+      if (rank != 0 && i < block0_end) block0_stolen.store(true, std::memory_order_release);
+      if (await_thief && rank == 0 && !rank0_started.exchange(true)) spin_until(block0_stolen);
+      if (await_thief && rank != 0) spin_until(rank0_started);
       out[i] = steal_heavy(static_cast<double>(i) * 1e-3,
                            i < n / 4 ? kHeavySteps : 1);
     });

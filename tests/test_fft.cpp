@@ -2,7 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <latch>
 #include <random>
+#include <thread>
 
 #include "apps/fft.hpp"
 
@@ -25,7 +28,44 @@ double max_abs_diff(const std::vector<Complex>& a, const std::vector<Complex>& b
   return m;
 }
 
+bool bitwise_equal(const std::vector<Complex>& a, const std::vector<Complex>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
 }  // namespace
+
+// Defined first so that it makes the process's first FFT calls: eight
+// threads race to build the shared per-size tables, and every result must
+// match, bit for bit, a single-threaded call made once they exist.
+TEST(FftTables, ConcurrentFirstCallsAreBitwiseEqual) {
+  constexpr int kThreads = 8;
+  constexpr int kMaxLog2 = 12;
+  std::vector<std::vector<std::vector<Complex>>> got(
+      kThreads, std::vector<std::vector<Complex>>(kMaxLog2 + 1));
+  std::latch start(kThreads);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int lg = 1; lg <= kMaxLog2; ++lg) {
+        auto v = random_signal(std::size_t{1} << lg, static_cast<unsigned>(lg));
+        ap::fft_inplace(v, t % 2 == 1);
+        got[static_cast<std::size_t>(t)][static_cast<std::size_t>(lg)] = std::move(v);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  for (int lg = 1; lg <= kMaxLog2; ++lg) {
+    for (int t = 0; t < kThreads; ++t) {
+      auto want = random_signal(std::size_t{1} << lg, static_cast<unsigned>(lg));
+      ap::fft_inplace(want, t % 2 == 1);
+      EXPECT_TRUE(bitwise_equal(got[static_cast<std::size_t>(t)][static_cast<std::size_t>(lg)],
+                                want))
+          << "thread " << t << ", n = 2^" << lg;
+    }
+  }
+}
 
 TEST(Fft, ImpulseGivesFlatSpectrum) {
   std::vector<Complex> v(8, Complex(0, 0));
@@ -76,34 +116,51 @@ TEST_P(FftVsDft, InverseRoundTrips) {
   EXPECT_LT(max_abs_diff(v, sig), 1e-10);
 }
 
-INSTANTIATE_TEST_SUITE_P(Pow2Sizes, FftVsDft, ::testing::Values(1, 2, 4, 8, 32, 128, 256));
+INSTANTIATE_TEST_SUITE_P(Pow2Sizes, FftVsDft, ::testing::Values(1, 2, 4, 8, 32, 128, 256, 512, 1024));
 
 TEST(Fft, NonPow2Rejected) {
   std::vector<Complex> v(12);
   EXPECT_THROW(ap::fft_inplace(v), std::invalid_argument);
 }
 
-TEST(Fft, StridedMatchesContiguous) {
-  constexpr std::size_t kRows = 8, kCols = 4;
-  auto mat = random_signal(kRows * kCols, 3);
-  auto expect = mat;
-  // Column FFT via explicit copy.
-  for (std::size_t c = 0; c < kCols; ++c) {
-    std::vector<Complex> col(kRows);
-    for (std::size_t r = 0; r < kRows; ++r) col[r] = expect[r * kCols + c];
-    ap::fft_inplace(col);
-    for (std::size_t r = 0; r < kRows; ++r) expect[r * kCols + c] = col[r];
+// Column-wise transform of a row-major block: every column, copied out
+// and transformed alone, must come out bitwise equal. The widths include
+// the local block widths of the cffts stage at p > 1.
+class FftColumns : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
+
+TEST_P(FftColumns, BitwiseEqualToPerColumnFft) {
+  const auto [rows, cols] = GetParam();
+  for (const bool inverse : {false, true}) {
+    auto mat = random_signal(rows * cols, static_cast<unsigned>(rows + cols));
+    auto expect = mat;
+    std::vector<Complex> col(rows);
+    for (std::size_t c = 0; c < cols; ++c) {
+      for (std::size_t r = 0; r < rows; ++r) col[r] = expect[r * cols + c];
+      ap::fft_inplace(col, inverse);
+      for (std::size_t r = 0; r < rows; ++r) expect[r * cols + c] = col[r];
+    }
+    ap::fft_columns(mat, rows, cols, inverse);
+    EXPECT_TRUE(bitwise_equal(mat, expect))
+        << rows << " x " << cols << (inverse ? " inverse" : " forward");
   }
-  for (std::size_t c = 0; c < kCols; ++c) {
-    ap::fft_strided(mat, c, kCols, kRows);
-  }
-  EXPECT_LT(max_abs_diff(mat, expect), 1e-12);
 }
 
-TEST(Fft, StridedBoundsChecked) {
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FftColumns,
+    ::testing::Combine(::testing::Values(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048,
+                                         4096),
+                       ::testing::Values(1, 3, 4, 64, 256)));
+
+TEST(Fft, ColumnsBoundsChecked) {
   std::vector<Complex> v(8);
-  EXPECT_THROW(ap::fft_strided(v, 0, 0, 4), std::invalid_argument);
-  EXPECT_THROW(ap::fft_strided(v, 4, 2, 4), std::out_of_range);
+  EXPECT_THROW(ap::fft_columns(v, 3, 2), std::invalid_argument);   // rows not a power of two
+  EXPECT_THROW(ap::fft_columns(v, 0, 8), std::invalid_argument);
+  EXPECT_THROW(ap::fft_columns(v, 4, 4), std::out_of_range);       // span too small
+  EXPECT_THROW(ap::fft_columns(v, 2, 2), std::out_of_range);       // span too large
+  const std::size_t huge = std::size_t{1} << 62;
+  EXPECT_THROW(ap::fft_columns(v, huge, 4), std::out_of_range);    // rows x cols overflows
+  std::vector<Complex> empty;
+  EXPECT_NO_THROW(ap::fft_columns(empty, 4, 0));
 }
 
 TEST(Fft, FlopModelScalesNLogN) {
