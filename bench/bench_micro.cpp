@@ -367,10 +367,10 @@ CollectiveRun run_collective_stream(bool cache_on, int procs, std::size_t n, int
       std::vector<double> all = comm::gather_vectors(ctx, g, 0, v);
       // Feed the gathered data back in so the gather is load-bearing.
       if (ctx.phys_rank() == 0 && !all.empty()) v[0] += all.back() * 1e-12;
-      // Hand the gather result back to the typed scratch pool: the next
+      // Hand the gather result back to the machine's double pool: the next
       // iteration's collectives reuse the allocation instead of growing a
       // fresh vector (this is what keeps the steady state fault-quiet).
-      ctx.machine().double_release(std::move(all));
+      ctx.machine().pool_release(std::move(all));
     }
     double s = 0.0;
     for (double x : v) s += x;

@@ -1,7 +1,5 @@
 #include "comm/collective_plan.hpp"
 
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 namespace fxpar::comm::plan {
@@ -9,6 +7,14 @@ namespace fxpar::comm::plan {
 namespace {
 
 inline int absolute_rank(int rel, int root, int n) { return (rel + root) % n; }
+
+std::vector<std::int64_t> collective_key(const pgroup::ProcessorGroup& g, int root) {
+  std::vector<std::int64_t> key;
+  key.reserve(g.members().size() + 1);
+  key.push_back(root);
+  key.insert(key.end(), g.members().begin(), g.members().end());
+  return key;
+}
 
 }  // namespace
 
@@ -60,74 +66,18 @@ RootedSchedule build_rooted_schedule(const std::vector<int>& members, int root) 
   return s;
 }
 
-CollectiveCache& CollectiveCache::of(machine::Machine& m) {
-  std::lock_guard<std::mutex> lk(m.cache_mutex());
-  auto* cache = dynamic_cast<CollectiveCache*>(m.collective_cache_slot());
-  if (cache == nullptr) {
-    auto owned = std::make_unique<CollectiveCache>();
-    cache = owned.get();
-    m.set_collective_cache_slot(std::move(owned));
-  }
-  return *cache;
-}
-
-void CollectiveCache::check_members(const std::vector<int>& registered,
-                                    const pgroup::ProcessorGroup& g, const char* what) {
-  if (registered != g.members()) {
-    throw std::logic_error(std::string(what) +
-                           ": group key collision — a different member list is "
-                           "registered under this group's key");
-  }
-}
-
-std::shared_ptr<const TreeSchedule> CollectiveCache::tree(machine::Machine& m,
-                                                          const pgroup::ProcessorGroup& g,
-                                                          int root) {
-  if (!m.keeps_plans()) {
+std::shared_ptr<const TreeSchedule> tree_schedule(machine::Machine& m,
+                                                  const pgroup::ProcessorGroup& g, int root) {
+  return m.plan<TreeSchedule>(collective_key(g, root), [&] {
     return std::make_shared<const TreeSchedule>(build_tree_schedule(g.members(), root));
-  }
-  const Key key{g.key(), root};
-  std::lock_guard<std::mutex> lk(mu_);
-  if (auto it = trees_.find(key); it != trees_.end()) {
-    check_members(it->second->members, g, "CollectiveCache::tree");
-    m.count_collective_plan(true);
-    return it->second;
-  }
-  if (trees_.size() >= kMaxEntries) trees_.clear();
-  auto sched = std::make_shared<const TreeSchedule>(build_tree_schedule(g.members(), root));
-  trees_.emplace(key, sched);
-  m.count_collective_plan(false);
-  return sched;
+  });
 }
 
-std::shared_ptr<const RootedSchedule> CollectiveCache::rooted(
-    machine::Machine& m, const pgroup::ProcessorGroup& g, int root) {
-  if (!m.keeps_plans()) {
+std::shared_ptr<const RootedSchedule> rooted_schedule(machine::Machine& m,
+                                                      const pgroup::ProcessorGroup& g, int root) {
+  return m.plan<RootedSchedule>(collective_key(g, root), [&] {
     return std::make_shared<const RootedSchedule>(build_rooted_schedule(g.members(), root));
-  }
-  const Key key{g.key(), root};
-  std::lock_guard<std::mutex> lk(mu_);
-  if (auto it = rooted_.find(key); it != rooted_.end()) {
-    check_members(it->second->members, g, "CollectiveCache::rooted");
-    m.count_collective_plan(true);
-    return it->second;
-  }
-  if (rooted_.size() >= kMaxEntries) rooted_.clear();
-  auto sched =
-      std::make_shared<const RootedSchedule>(build_rooted_schedule(g.members(), root));
-  rooted_.emplace(key, sched);
-  m.count_collective_plan(false);
-  return sched;
-}
-
-std::size_t CollectiveCache::tree_entries() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return trees_.size();
-}
-
-std::size_t CollectiveCache::rooted_entries() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return rooted_.size();
+  });
 }
 
 }  // namespace fxpar::comm::plan

@@ -12,7 +12,7 @@ Payload broadcast_bytes(Context& ctx, const ProcessorGroup& g, int root, Payload
   const std::uint64_t tag = ctx.collective_tag(g);
 
   ctx.push_group(g);
-  const auto sched = plan::CollectiveCache::of(ctx.machine()).tree(ctx.machine(), g, root);
+  const auto sched = plan::tree_schedule(ctx.machine(), g, root);
   const plan::TreeSchedule::Node& nd = sched->nodes[static_cast<std::size_t>(me)];
   if (nd.bcast_parent >= 0) bytes = ctx.recv(nd.bcast_parent, tag);
   for (int child : nd.bcast_children) {

@@ -6,7 +6,7 @@
 // every member. Broadcast and reduce use binomial trees (latency-optimal
 // for small payloads on a Paragon-class machine); gather/scatter are rooted
 // linear exchanges; alltoall is a full pairwise exchange. The tree and
-// rooted collectives execute schedules from comm::plan::CollectiveCache
+// rooted collectives execute schedules from the machine's plan store
 // (collective_plan.hpp): shared across calls when MachineConfig::plan_cache
 // is on, built per call when it is off.
 #pragma once
@@ -51,7 +51,7 @@ inline void count_collective(Context& ctx) {
 
 /// Unpacks `bytes` into a vector of T. For double — the dominant element
 /// type of the numeric apps — the result vector comes from the machine's
-/// typed scratch pool instead of a fresh allocation, keeping a
+/// double pool instead of a fresh allocation, keeping a
 /// steady-state collective stream allocation-quiet.
 template <TriviallyPackable T>
 std::vector<T> unpack_vector_pooled(Context& ctx, const Payload& bytes) {
@@ -60,7 +60,7 @@ std::vector<T> unpack_vector_pooled(Context& ctx, const Payload& bytes) {
       throw std::invalid_argument(
           "unpack_vector: payload size not a multiple of element size");
     }
-    std::vector<double> out = ctx.machine().double_acquire(bytes.size() / sizeof(double));
+    std::vector<double> out = ctx.machine().pool_acquire<double>(bytes.size() / sizeof(double));
     if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
     return out;
   } else {
@@ -68,12 +68,12 @@ std::vector<T> unpack_vector_pooled(Context& ctx, const Payload& bytes) {
   }
 }
 
-/// Returns a spent vector to the typed scratch pool (no-op for types the
+/// Returns a spent vector to the machine's double pool (no-op for types the
 /// pool does not cover, and for vectors with no allocation).
 template <TriviallyPackable T>
 void release_vector_pooled(Context& ctx, std::vector<T>&& v) {
   if constexpr (std::is_same_v<T, double>) {
-    ctx.machine().double_release(std::move(v));
+    ctx.machine().pool_release(std::move(v));
   } else {
     (void)v;
   }
@@ -119,7 +119,7 @@ T reduce(Context& ctx, const ProcessorGroup& g, int root, T value, Op op) {
   ctx.push_group(g);
   // Replay the tree: children in the recorded (combine) order, then the
   // parent send.
-  const auto sched = plan::CollectiveCache::of(ctx.machine()).tree(ctx.machine(), g, root);
+  const auto sched = plan::tree_schedule(ctx.machine(), g, root);
   const auto& nd = sched->nodes[static_cast<std::size_t>(me)];
   for (int child : nd.reduce_children) {
     T incoming = unpack_value<T>(ctx.recv(child, tag));
@@ -153,7 +153,7 @@ std::vector<T> reduce_vector(Context& ctx, const ProcessorGroup& g, int root,
   // Replay the tree. The executor combines straight from payload bytes (no
   // per-child unpack allocation) and recycles every buffer through the
   // machine pool.
-  const auto sched = plan::CollectiveCache::of(ctx.machine()).tree(ctx.machine(), g, root);
+  const auto sched = plan::tree_schedule(ctx.machine(), g, root);
   const auto& nd = sched->nodes[static_cast<std::size_t>(me)];
   for (int child : nd.reduce_children) {
     Payload in = ctx.recv(child, tag);
@@ -253,7 +253,7 @@ std::vector<T> gather(Context& ctx, const ProcessorGroup& g, int root, const T& 
   const std::uint64_t tag = ctx.collective_tag(g);
   ctx.push_group(g);
   std::vector<T> out;
-  const auto sched = plan::CollectiveCache::of(ctx.machine()).rooted(ctx.machine(), g, root);
+  const auto sched = plan::rooted_schedule(ctx.machine(), g, root);
   if (me == root) {
     out.resize(static_cast<std::size_t>(n));
     out[static_cast<std::size_t>(root)] = value;
@@ -282,7 +282,7 @@ std::vector<T> gather_vectors(Context& ctx, const ProcessorGroup& g, int root,
   // Receive every part (virtual-rank order), then concatenate with a
   // single allocation instead of n growing inserts; spent payloads go back
   // to the machine pool.
-  const auto sched = plan::CollectiveCache::of(ctx.machine()).rooted(ctx.machine(), g, root);
+  const auto sched = plan::rooted_schedule(ctx.machine(), g, root);
   if (me == root) {
     std::vector<Payload> parts;
     parts.reserve(sched->peers.size());
@@ -297,7 +297,7 @@ std::vector<T> gather_vectors(Context& ctx, const ProcessorGroup& g, int root,
       parts.push_back(std::move(p));
     }
     if constexpr (std::is_same_v<T, double>) {
-      out = ctx.machine().double_acquire(total_bytes / sizeof(T));
+      out = ctx.machine().pool_acquire<double>(total_bytes / sizeof(T));
     } else {
       out.resize(total_bytes / sizeof(T));
     }
@@ -336,7 +336,7 @@ std::vector<T> scatter_vectors(Context& ctx, const ProcessorGroup& g, int root,
   const std::uint64_t tag = ctx.collective_tag(g);
   ctx.push_group(g);
   std::vector<T> mine;
-  const auto sched = plan::CollectiveCache::of(ctx.machine()).rooted(ctx.machine(), g, root);
+  const auto sched = plan::rooted_schedule(ctx.machine(), g, root);
   if (me == root) {
     if (static_cast<int>(parts.size()) != n) {
       ctx.pop_group();

@@ -54,7 +54,7 @@ HaloRows<T> exchange_row_halo_impl(machine::Context& ctx, const DistArray<T>& a,
   const int me = a.my_vrank();
   const std::uint64_t tag = ctx.collective_tag(g);
 
-  const auto sched = plan::PlanCache::of(ctx.machine()).halo(ctx.machine(), lay, halo);
+  const auto sched = plan::halo_schedule(ctx.machine(), lay, halo);
   const plan::HaloSchedule::Member& mp = sched->members[static_cast<std::size_t>(me)];
   const std::int64_t rows_mine = mp.my_hi - mp.my_lo;
   const std::size_t row_bytes = static_cast<std::size_t>(W) * sizeof(T);

@@ -7,94 +7,46 @@ namespace fxpar::dist::plan {
 
 namespace {
 
-// FNV-1a over the key words.
-std::size_t hash_words(const std::vector<std::int64_t>& words) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::int64_t w : words) {
-    std::uint64_t u = static_cast<std::uint64_t>(w);
-    for (int i = 0; i < 8; ++i) {
-      h ^= (u >> (8 * i)) & 0xffu;
-      h *= 1099511628211ull;
-    }
+/// Key words of one layout: group members, then per dimension the extent,
+/// distribution kind, effective block size and processors along it.
+void append_layout(std::vector<std::int64_t>& key, const Layout& l) {
+  key.push_back(l.group().size());
+  for (int p : l.group().members()) key.push_back(p);
+  key.push_back(l.ndims());
+  for (int d = 0; d < l.ndims(); ++d) {
+    const DimDist& dd = l.dim_dist(d);
+    key.push_back(l.extent(d));
+    key.push_back(static_cast<std::int64_t>(dd.kind()));
+    key.push_back(dd.distributed() ? dd.block_size(l.extent(d), l.procs_along(d)) : 0);
+    key.push_back(l.procs_along(d));  // captures explicit grid extents
   }
-  return static_cast<std::size_t>(h);
 }
 
 }  // namespace
 
-std::size_t PlanCache::KeyHash::operator()(const Key& k) const noexcept {
-  return hash_words(k.blob);
+std::shared_ptr<const RedistSchedule> redist_schedule(machine::Machine& m, const Layout& src,
+                                                      const Layout& dst,
+                                                      const std::vector<int>& perm,
+                                                      const std::vector<int>& inv_perm,
+                                                      const std::vector<std::int64_t>& offsets) {
+  std::vector<std::int64_t> key;
+  key.reserve(2 * (4 + 4 * static_cast<std::size_t>(src.ndims())) + perm.size() +
+              offsets.size() + 2);
+  append_layout(key, src);
+  append_layout(key, dst);
+  key.insert(key.end(), perm.begin(), perm.end());
+  key.insert(key.end(), offsets.begin(), offsets.end());
+  return m.plan<RedistSchedule>(std::move(key), [&] {
+    return build_redist_schedule(src, dst, perm, inv_perm, offsets);
+  });
 }
 
-void PlanCache::append_layout(std::vector<std::int64_t>& blob, const Layout& l) {
-  blob.push_back(l.group().size());
-  for (int p : l.group().members()) blob.push_back(p);
-  blob.push_back(l.ndims());
-  for (int d = 0; d < l.ndims(); ++d) {
-    const DimDist& dd = l.dim_dist(d);
-    blob.push_back(l.extent(d));
-    blob.push_back(static_cast<std::int64_t>(dd.kind()));
-    blob.push_back(dd.distributed() ? dd.block_size(l.extent(d), l.procs_along(d)) : 0);
-    blob.push_back(l.procs_along(d));  // captures explicit grid extents
-  }
-}
-
-PlanCache::Key PlanCache::redist_key(const Layout& src, const Layout& dst,
-                                     const std::vector<int>& perm,
-                                     const std::vector<std::int64_t>& offsets) {
-  Key k;
-  k.blob.reserve(2 * (4 + 4 * static_cast<std::size_t>(src.ndims())) + perm.size() +
-                 offsets.size() + 2);
-  append_layout(k.blob, src);
-  append_layout(k.blob, dst);
-  for (int p : perm) k.blob.push_back(p);
-  for (std::int64_t o : offsets) k.blob.push_back(o);
-  return k;
-}
-
-PlanCache& PlanCache::of(machine::Machine& m) {
-  std::lock_guard<std::mutex> lk(m.cache_mutex());
-  if (!m.plan_cache_slot()) {
-    m.set_plan_cache_slot(std::make_unique<PlanCache>());
-  }
-  return *static_cast<PlanCache*>(m.plan_cache_slot());
-}
-
-std::shared_ptr<const RedistSchedule> PlanCache::redist(machine::Machine& m, const Layout& src,
-                                                        const Layout& dst,
-                                                        const std::vector<int>& perm,
-                                                        const std::vector<int>& inv_perm,
-                                                        const std::vector<std::int64_t>& offsets) {
-  if (!m.keeps_plans()) return build_redist_schedule(src, dst, perm, inv_perm, offsets);
-  Key key = redist_key(src, dst, perm, offsets);
-  std::lock_guard<std::mutex> lk(mu_);
-  if (auto it = redist_.find(key); it != redist_.end()) {
-    m.count_plan_cache(true);
-    return it->second;
-  }
-  m.count_plan_cache(false);
-  auto sched = build_redist_schedule(src, dst, perm, inv_perm, offsets);
-  if (redist_.size() >= kMaxEntries) redist_.clear();
-  redist_.emplace(std::move(key), sched);
-  return sched;
-}
-
-std::shared_ptr<const HaloSchedule> PlanCache::halo(machine::Machine& m, const Layout& layout,
-                                                    int halo) {
-  if (!m.keeps_plans()) return build_halo_schedule(layout, halo);
-  Key key;
-  append_layout(key.blob, layout);
-  key.blob.push_back(halo);
-  std::lock_guard<std::mutex> lk(mu_);
-  if (auto it = halo_.find(key); it != halo_.end()) {
-    m.count_plan_cache(true);
-    return it->second;
-  }
-  m.count_plan_cache(false);
-  auto sched = build_halo_schedule(layout, halo);
-  if (halo_.size() >= kMaxEntries) halo_.clear();
-  halo_.emplace(std::move(key), sched);
-  return sched;
+std::shared_ptr<const HaloSchedule> halo_schedule(machine::Machine& m, const Layout& layout,
+                                                  int halo) {
+  std::vector<std::int64_t> key;
+  append_layout(key, layout);
+  key.push_back(halo);
+  return m.plan<HaloSchedule>(std::move(key), [&] { return build_halo_schedule(layout, halo); });
 }
 
 std::shared_ptr<const RedistSchedule> build_redist_schedule(

@@ -1,5 +1,5 @@
 // fxpar dist: inspector–executor schedules for redistribution and halo
-// exchange, and the cache that keeps them.
+// exchange, and their keys in the machine's plan store.
 //
 // The paper's pipelines (FFT-Hist, radar, stereo) redistribute the *same*
 // arrays between the *same* layouts once per data set, for hundreds of data
@@ -15,15 +15,12 @@
 //    over the segments — no recursive plan visits, no per-element offset
 //    resolution, no per-element copies on the permuted (corner-turn) path.
 //
-// With MachineConfig::plan_cache on (the default), schedules live on the
-// Machine, keyed by (source layout, destination layout, perm, offsets), and
-// are shared by every processor: the first caller builds the whole pair
-// matrix, everyone else replays it. Lookup and build happen under one
-// cache mutex so the scheme works unchanged on the threaded backend (on the
-// simulator the single host thread never contends). Entries are handed out
-// as shared_ptr so an eviction during a blocked call can never dangle.
-// With it off, every lookup builds a fresh schedule for that call alone and
-// counts neither a hit nor a miss.
+// With MachineConfig::plan_cache on (the default), schedules live in the
+// Machine's plan store (Machine::plan), keyed by (source layout,
+// destination layout, perm, offsets), and are shared by every processor:
+// the first caller builds the whole pair matrix, everyone else replays it.
+// With it off, every lookup builds a fresh schedule for that call alone
+// and counts neither a hit nor a miss.
 //
 // The switch changes host time only: the executor is the same either way,
 // so messages, charges, barriers and modeled results are bit-identical
@@ -33,10 +30,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "dist/layout.hpp"
@@ -159,6 +154,8 @@ struct FlatPlan {
 /// canonical sender slot is stored (every replica's local offsets are
 /// identical, so the one slot serves self-serving receivers too).
 struct RedistSchedule {
+  static constexpr machine::PlanKind kKind = machine::PlanKind::Redist;
+
   pgroup::ProcessorGroup ugroup;
   bool src_replicated = false;
   int nsenders = 0;  ///< 1 when src_replicated, else source group size
@@ -176,6 +173,8 @@ struct RedistSchedule {
 /// Cached ghost-row exchange schedule for halo.hpp (one entry per group
 /// member; (planes, H, W) layouts distributed (*, BLOCK-like, *)).
 struct HaloSchedule {
+  static constexpr machine::PlanKind kKind = machine::PlanKind::Halo;
+
   struct Send {
     int dst_vrank = -1;
     std::vector<std::int64_t> local_rows;  ///< row offsets into my block
@@ -195,57 +194,20 @@ struct HaloSchedule {
   std::vector<Member> members;  ///< indexed by vrank
 };
 
-/// The per-Machine schedule cache. Entries are returned as shared_ptr so a
-/// caller blocked mid-redistribution survives eviction by another
-/// processor. With MachineConfig::plan_cache off, lookups build and return
-/// a schedule without storing or counting it.
-class PlanCache final : public machine::MachineCacheBase {
- public:
-  /// Soft capacity: inserting past this drops the whole table (outstanding
-  /// shared_ptr holders keep their schedules alive).
-  static constexpr std::size_t kMaxEntries = 128;
+/// The schedule for assign_general(src -> dst, perm, offsets) from `m`'s
+/// plan store, built and stored on a miss.
+std::shared_ptr<const RedistSchedule> redist_schedule(machine::Machine& m, const Layout& src,
+                                                      const Layout& dst,
+                                                      const std::vector<int>& perm,
+                                                      const std::vector<int>& inv_perm,
+                                                      const std::vector<std::int64_t>& offsets);
 
-  /// The cache attached to `m`, created on first use.
-  static PlanCache& of(machine::Machine& m);
-
-  /// The schedule for assign_general(src -> dst, perm, offsets), building
-  /// and inserting it on a miss. Counts a hit or miss on `m` (caching on).
-  std::shared_ptr<const RedistSchedule> redist(machine::Machine& m, const Layout& src,
-                                               const Layout& dst, const std::vector<int>& perm,
-                                               const std::vector<int>& inv_perm,
-                                               const std::vector<std::int64_t>& offsets);
-
-  /// The schedule for exchange_row_halo(layout, halo). Counts a hit or miss
-  /// (caching on).
-  std::shared_ptr<const HaloSchedule> halo(machine::Machine& m, const Layout& layout, int halo);
-
-  std::size_t redist_entries() const noexcept { return redist_.size(); }
-  std::size_t halo_entries() const noexcept { return halo_.size(); }
-
- private:
-  struct Key {
-    std::vector<std::int64_t> blob;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept;
-  };
-
-  static void append_layout(std::vector<std::int64_t>& blob, const Layout& l);
-  static Key redist_key(const Layout& src, const Layout& dst, const std::vector<int>& perm,
-                        const std::vector<std::int64_t>& offsets);
-
-  /// Held across lookup *and* build: on the threaded backend the first
-  /// worker to miss builds the schedule while the rest wait and then hit,
-  /// so hit/miss totals match the simulator's exactly (the simulator's
-  /// fibers never contend on it).
-  mutable std::mutex mu_;
-  std::unordered_map<Key, std::shared_ptr<const RedistSchedule>, KeyHash> redist_;
-  std::unordered_map<Key, std::shared_ptr<const HaloSchedule>, KeyHash> halo_;
-};
+/// The schedule for exchange_row_halo(layout, halo) from `m`'s plan store.
+std::shared_ptr<const HaloSchedule> halo_schedule(machine::Machine& m, const Layout& layout,
+                                                  int halo);
 
 /// Inspector: flattens the full pair matrix for one redistribution. Exposed
-/// for tests; assign_general reaches it through PlanCache::redist.
+/// for tests; assign_general reaches it through redist_schedule.
 std::shared_ptr<const RedistSchedule> build_redist_schedule(
     const Layout& src, const Layout& dst, const std::vector<int>& perm,
     const std::vector<int>& inv_perm, const std::vector<std::int64_t>& offsets);

@@ -129,7 +129,7 @@ void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
   // per-pair segments — shared machine-wide when plan_cache is on, built
   // for this call alone when it is off.
   const std::shared_ptr<const plan::RedistSchedule> sched =
-      plan::PlanCache::of(ctx.machine()).redist(ctx.machine(), sl, dl, perm, inv, offsets);
+      plan::redist_schedule(ctx.machine(), sl, dl, perm, inv, offsets);
 
   // Minimal participating set: owners of either side. Everyone else skips.
   const pgroup::ProcessorGroup& ug = sched->ugroup;

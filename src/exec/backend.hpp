@@ -32,6 +32,8 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -102,6 +104,17 @@ constexpr std::pair<std::int64_t, std::int64_t> loop_block(std::int64_t lo, std:
 /// [lo, hi)), so captured per-processor state — local array views, result
 /// buffers — is the owner's regardless of which worker ran the chunk.
 using ChunkBody = std::function<void(std::int64_t lo, std::int64_t hi)>;
+
+/// Counters the machine layer keeps for its host-side services (the plan
+/// store and the payload pool); indexes for Backend::host_counter().
+enum HostCounter : std::size_t {
+  kPlanHits,              ///< redistribution and halo schedules replayed
+  kPlanMisses,            ///< redistribution and halo schedules built and kept
+  kCollectivePlanHits,    ///< tree and rooted collective schedules replayed
+  kCollectivePlanMisses,  ///< tree and rooted collective schedules built and kept
+  kPoolSpills,            ///< pool releases that overflowed a rank's shard
+  kNumHostCounters,
+};
 
 /// Aggregate per-run numbers a backend hands back after run(). The
 /// interpretation of the clock fields is backend-defined: modeled seconds
@@ -238,9 +251,19 @@ class Backend {
   /// instead of accumulating inline).
   virtual bool stealing_loops() const noexcept { return false; }
 
+  /// Host-service counter `c` (see HostCounter), cumulative over the
+  /// backend's life. Every rank adds to the same word, wherever it runs:
+  /// the rank runtime keeps these in its shared control block, so the
+  /// launching process reads totals over all ranks on proc too.
+  std::atomic<std::uint64_t>& host_counter(HostCounter c) noexcept { return host_counters_[c]; }
+
  protected:
   metrics::RuntimeMetrics* metrics_ = nullptr;  ///< null = metrics disabled
   obs::FlightRecorder* flight_ = nullptr;       ///< null = recorder disabled
+  std::array<std::atomic<std::uint64_t>, kNumHostCounters> own_host_counters_{};
+  /// Where host_counter() lives: this process by default; a backend whose
+  /// ranks run in other processes points it at memory they all share.
+  std::atomic<std::uint64_t>* host_counters_ = own_host_counters_.data();
 };
 
 }  // namespace fxpar::exec

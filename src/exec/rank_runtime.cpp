@@ -153,6 +153,8 @@ struct Ctrl {
   int* members = nullptr;      ///< nslots x procs
   double* arrive_t = nullptr;  ///< nslots x procs, by vrank (traced runs)
   std::atomic<std::uint64_t>* traffic = nullptr;  ///< src * P + dst, or null
+  /// Backend::host_counter() words; never reset, so they span runs.
+  std::atomic<std::uint64_t>* host_counters = nullptr;
 
  private:
   /// Lays the arrays out from offset 0; constructs them when `at` is set.
@@ -176,6 +178,7 @@ struct Ctrl {
     take(members, s * p);
     take(arrive_t, s * p);
     if (with_traffic) take(traffic, p * p);
+    take(host_counters, kNumHostCounters);
     bytes = off;
   }
 };
@@ -298,6 +301,7 @@ RankRuntime::RankRuntime(const machine::MachineConfig& config) : config_(config)
     throw std::invalid_argument("RankRuntime: num_procs must be positive");
   }
   ctrl_ = std::make_unique<Ctrl>(config_.num_procs, config_.record_traffic);
+  host_counters_ = ctrl_->host_counters;
   ranks_.reserve(static_cast<std::size_t>(config_.num_procs));
   for (int r = 0; r < config_.num_procs; ++r) ranks_.push_back(std::make_unique<Rank>());
   pids_.assign(static_cast<std::size_t>(config_.num_procs), 0);

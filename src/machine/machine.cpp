@@ -29,7 +29,9 @@ std::uint64_t RunResult::traffic_between(int src, int dst) const {
 
 Machine::Machine(MachineConfig config) : config_(config) {
   config_.validate();
-  pool_shards_ = std::vector<PoolShard>(static_cast<std::size_t>(config_.num_procs));
+  std::apply([n = static_cast<std::size_t>(config_.num_procs)](
+                 auto&... pool) { (pool.shards.resize(n), ...); },
+             pools_);
   switch (config_.backend) {
     case exec::BackendKind::Sim:
       backend_ = std::make_unique<exec::SimBackend>(config_);
@@ -90,24 +92,6 @@ int metric_shard(const exec::Backend& backend) noexcept {
 }
 
 }  // namespace
-
-void Machine::count_plan_cache(bool hit) noexcept {
-  (hit ? stat_plan_hits_ : stat_plan_misses_).fetch_add(1, std::memory_order_relaxed);
-  if (!metrics_ && !tracer_) return;
-  const int rank = metric_shard(*backend_);
-  if (metrics_) (hit ? metrics_->plan_hits : metrics_->plan_misses)->add(rank);
-  if (tracer_) tracer_->plan_cache_event(rank, hit);
-}
-
-void Machine::count_collective_plan(bool hit) noexcept {
-  (hit ? stat_coll_hits_ : stat_coll_misses_).fetch_add(1, std::memory_order_relaxed);
-  if (!metrics_ && !tracer_) return;
-  const int rank = metric_shard(*backend_);
-  if (metrics_) {
-    (hit ? metrics_->collective_plan_hits : metrics_->collective_plan_misses)->add(rank);
-  }
-  if (tracer_) tracer_->plan_cache_event(rank, hit);
-}
 
 Machine::~Machine() {
   // Stop the server thread before any member it reads is torn down.
@@ -181,11 +165,14 @@ RunResult Machine::run(const std::function<void(Context&)>& program) {
   res.backend = backend_->name();
   res.host_ms = std::chrono::duration<double, std::milli>(host_t1 - host_t0).count();
   res.wait_ms = bs.wait_ms;
-  res.plan_cache_hits = stat_plan_hits_.load(std::memory_order_relaxed);
-  res.plan_cache_misses = stat_plan_misses_.load(std::memory_order_relaxed);
-  res.collective_plan_hits = stat_coll_hits_.load(std::memory_order_relaxed);
-  res.collective_plan_misses = stat_coll_misses_.load(std::memory_order_relaxed);
-  res.pool_spills = stat_pool_spills_.load(std::memory_order_relaxed);
+  const auto host = [this](exec::HostCounter c) {
+    return backend_->host_counter(c).load(std::memory_order_relaxed);
+  };
+  res.plan_cache_hits = host(exec::kPlanHits);
+  res.plan_cache_misses = host(exec::kPlanMisses);
+  res.collective_plan_hits = host(exec::kCollectivePlanHits);
+  res.collective_plan_misses = host(exec::kCollectivePlanMisses);
+  res.pool_spills = host(exec::kPoolSpills);
   res.pinning = exec::pin_policy_name(config_.pinning);
   res.numa_nodes = bs.numa_nodes;
   res.traffic = bs.traffic;
@@ -382,6 +369,68 @@ void Machine::watchdog_loop() {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Plan store
+
+std::size_t Machine::PlanKeyHash::operator()(
+    const std::vector<std::int64_t>& key) const noexcept {
+  // The splitmix64 finalizer folded over the key words: one mix per word.
+  std::uint64_t h = key.size();
+  for (std::int64_t w : key) {
+    h ^= static_cast<std::uint64_t>(w) + 0x9e3779b97f4a7c15ull;
+    h ^= h >> 30;
+    h *= 0xbf58476d1ce4e5b9ull;
+    h ^= h >> 27;
+    h *= 0x94d049bb133111ebull;
+    h ^= h >> 31;
+  }
+  return static_cast<std::size_t>(h);
+}
+
+std::shared_ptr<const void> Machine::plan_entry(
+    PlanKind kind, std::vector<std::int64_t>&& key,
+    const std::function<std::shared_ptr<const void>()>& build) {
+  PlanTable& table = plans_[static_cast<std::size_t>(kind)];
+  std::lock_guard<std::mutex> lk(plan_mu_);
+  auto it = table.find(key);
+  const bool hit = it != table.end();
+  std::shared_ptr<const void> sched;
+  if (hit) {
+    sched = it->second;
+  } else {
+    sched = build();
+    if (table.size() >= kMaxPlans) table.clear();
+    table.emplace(std::move(key), sched);
+  }
+
+  // Redistribution and halo count in the dist family, the collectives in
+  // the comm family; the trace does not tell them apart.
+  const bool collective = kind == PlanKind::Tree || kind == PlanKind::Rooted;
+  const exec::HostCounter counter =
+      collective ? (hit ? exec::kCollectivePlanHits : exec::kCollectivePlanMisses)
+                 : (hit ? exec::kPlanHits : exec::kPlanMisses);
+  backend_->host_counter(counter).fetch_add(1, std::memory_order_relaxed);
+  if (metrics_ || tracer_) {
+    const int rank = metric_shard(*backend_);
+    if (metrics_) {
+      metrics::Counter* c =
+          collective ? (hit ? metrics_->collective_plan_hits : metrics_->collective_plan_misses)
+                     : (hit ? metrics_->plan_hits : metrics_->plan_misses);
+      c->add(rank);
+    }
+    if (tracer_) tracer_->plan_cache_event(rank, hit);
+  }
+  return sched;
+}
+
+std::size_t Machine::plan_entries(PlanKind kind) const {
+  std::lock_guard<std::mutex> lk(plan_mu_);
+  return plans_[static_cast<std::size_t>(kind)].size();
+}
+
+// ---------------------------------------------------------------------------
+// Buffer pools
+
 namespace {
 
 /// Pool shard of the calling processor, or -1 from the driver thread
@@ -396,89 +445,55 @@ int pool_shard_rank(const exec::Backend& backend) noexcept {
 
 }  // namespace
 
-Payload Machine::pool_acquire(std::size_t bytes) {
-  Payload p;
+template <class T>
+std::vector<T> Machine::pool_acquire(std::size_t n) {
+  BufferPool<T>& pool = std::get<BufferPool<T>>(pools_);
+  std::vector<T> v;
   const int rank = pool_shard_rank(*backend_);
   if (rank >= 0) {
-    auto& shard = pool_shards_[static_cast<std::size_t>(rank)].bufs;
-    if (!shard.empty()) {
-      p = std::move(shard.back());
-      shard.pop_back();
-    }
-  }
-  if (p.capacity() == 0) {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (!payload_pool_.empty()) {
-      p = std::move(payload_pool_.back());
-      payload_pool_.pop_back();
-    }
-  }
-  // Same-size reuse makes this resize a no-op: unlike a freshly
-  // constructed Payload there is no value-initializing memset. Contents
-  // are unspecified by contract; every caller overwrites the buffer.
-  p.resize(bytes);
-  return p;
-}
-
-std::vector<double> Machine::double_acquire(std::size_t n) {
-  std::vector<double> v;
-  const int rank = pool_shard_rank(*backend_);
-  if (rank >= 0) {
-    auto& shard = pool_shards_[static_cast<std::size_t>(rank)].dbufs;
+    auto& shard = pool.shards[static_cast<std::size_t>(rank)].bufs;
     if (!shard.empty()) {
       v = std::move(shard.back());
       shard.pop_back();
     }
   }
   if (v.capacity() == 0) {
-    std::lock_guard<std::mutex> lk(pool_mu_);
-    if (!double_pool_.empty()) {
-      v = std::move(double_pool_.back());
-      double_pool_.pop_back();
+    std::lock_guard<std::mutex> lk(pool.mu);
+    if (!pool.spill.empty()) {
+      v = std::move(pool.spill.back());
+      pool.spill.pop_back();
     }
   }
-  // Same-capacity reuse makes this resize a no-op (no value-initializing
-  // memset of a fresh vector). Contents are unspecified by contract.
+  // Same-size reuse makes this resize a no-op: unlike a freshly
+  // constructed vector there is no value-initializing memset. Contents
+  // are unspecified by contract; every caller overwrites the buffer.
   v.resize(n);
   return v;
 }
 
-void Machine::double_release(std::vector<double>&& v) {
+template <class T>
+void Machine::pool_release(std::vector<T>&& v) {
   if (v.capacity() == 0 || !keeps_plans()) return;
+  BufferPool<T>& pool = std::get<BufferPool<T>>(pools_);
   const int rank = pool_shard_rank(*backend_);
   if (rank >= 0) {
-    auto& shard = pool_shards_[static_cast<std::size_t>(rank)].dbufs;
-    if (shard.size() < kMaxShardPayloads) {
+    auto& shard = pool.shards[static_cast<std::size_t>(rank)].bufs;
+    if (shard.size() < kMaxShardBuffers) {
       shard.push_back(std::move(v));
-      return;
-    }
-    stat_pool_spills_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->pool_spills->add(rank);
-  }
-  std::lock_guard<std::mutex> lk(pool_mu_);
-  if (double_pool_.size() < kMaxPooledPayloads) {
-    double_pool_.push_back(std::move(v));
-  }
-}
-
-void Machine::pool_release(Payload&& p) {
-  if (p.capacity() == 0 || !keeps_plans()) return;
-  const int rank = pool_shard_rank(*backend_);
-  if (rank >= 0) {
-    auto& shard = pool_shards_[static_cast<std::size_t>(rank)].bufs;
-    if (shard.size() < kMaxShardPayloads) {
-      shard.push_back(std::move(p));
       return;
     }
     // Shard full: spill to the shared list so senders elsewhere can
     // reacquire the allocation (buffers migrate sender -> receiver).
-    stat_pool_spills_.fetch_add(1, std::memory_order_relaxed);
+    backend_->host_counter(exec::kPoolSpills).fetch_add(1, std::memory_order_relaxed);
     if (metrics_) metrics_->pool_spills->add(rank);
   }
-  std::lock_guard<std::mutex> lk(pool_mu_);
-  if (payload_pool_.size() < kMaxPooledPayloads) {
-    payload_pool_.push_back(std::move(p));
-  }
+  std::lock_guard<std::mutex> lk(pool.mu);
+  if (pool.spill.size() < kMaxSpilledBuffers) pool.spill.push_back(std::move(v));
 }
+
+template std::vector<std::byte> Machine::pool_acquire<std::byte>(std::size_t);
+template std::vector<double> Machine::pool_acquire<double>(std::size_t);
+template void Machine::pool_release<std::byte>(std::vector<std::byte>&&);
+template void Machine::pool_release<double>(std::vector<double>&&);
 
 }  // namespace fxpar::machine

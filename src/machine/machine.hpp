@@ -1,14 +1,16 @@
 // fxpar machine: the SPMD multicomputer.
 //
 // Machine owns one execution backend (exec/backend.hpp) — the
-// deterministic discrete-event simulator or the shared-memory threaded
-// engine, selected by MachineConfig::backend — plus everything that is
-// backend-independent: the trace recorder, the redistribution plan-cache
-// slot, the payload buffer pool and the per-run statistics. It launches an
-// SPMD program body on every logical processor. User code never touches
+// deterministic discrete-event simulator, or the rank runtime running one
+// OS thread or one forked process per logical processor, selected by
+// MachineConfig::backend — plus everything that is backend-independent:
+// the trace recorder, the plan store of inspector-built schedules, the
+// payload buffer pools and the per-run statistics. It launches an SPMD
+// program body on every logical processor. User code never touches
 // Machine directly while running; it receives a Context (see context.hpp).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -18,6 +20,8 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "exec/backend.hpp"
@@ -36,18 +40,20 @@ class Context;
 /// Raw bytes exchanged by the direct-deposit layer.
 using Payload = exec::Payload;
 
-/// Base class for caches that higher layers attach to the machine (the dist
-/// layer's redistribution plan cache, see dist/plan_cache.hpp). The machine
-/// owns the storage so cached schedules are shared by all processors and
-/// survive across run() calls; the attaching layer owns the concrete type.
-class MachineCacheBase {
- public:
-  virtual ~MachineCacheBase() = default;
+/// The kinds of schedule the plan store keeps, one table each. Every
+/// schedule type names its kind (`static constexpr PlanKind kKind`), so a
+/// lookup can only return the type that was stored under that kind.
+enum class PlanKind : std::size_t {
+  Redist,  ///< dist::plan::RedistSchedule
+  Halo,    ///< dist::plan::HaloSchedule
+  Tree,    ///< comm::plan::TreeSchedule
+  Rooted,  ///< comm::plan::RootedSchedule
 };
+inline constexpr std::size_t kPlanKinds = 4;
 
 /// Aggregate results of one run. The time fields are backend-defined:
-/// modeled machine seconds on the simulator, real host seconds on the
-/// threaded backend (docs/execution.md).
+/// modeled machine seconds on the simulator, real host seconds on threads
+/// and proc (docs/execution.md).
 struct RunResult {
   runtime::SimTime finish_time = 0.0;  ///< completion time of the slowest processor
   std::vector<runtime::ProcClock> clocks;
@@ -62,7 +68,7 @@ struct RunResult {
   std::uint64_t steals = 0;
   std::uint64_t stolen_iters = 0;
 
-  /// Which engine executed the run: "sim" or "threads".
+  /// Which engine executed the run: "sim", "threads" or "proc".
   std::string backend = "sim";
 
   /// Real wall-clock milliseconds spent inside Machine::run (both
@@ -70,26 +76,24 @@ struct RunResult {
   /// on `threads`.
   double host_ms = 0.0;
 
-  /// Total real milliseconds processors spent blocked (threaded backend
-  /// only; 0 on the simulator, whose idle time is modeled, not real).
+  /// Total real milliseconds processors spent blocked (threads and proc;
+  /// 0 on the simulator, whose idle time is modeled, not real).
   double wait_ms = 0.0;
 
-  /// Redistribution and halo plan cache counters (see dist/plan_cache.hpp):
-  /// a miss builds and stores a schedule, a hit replays a stored one. Both
-  /// zero when MachineConfig::plan_cache is off (every call then builds a
-  /// schedule it does not keep) or no redistribution ran.
+  /// Plan-store counters (see Machine::plan), summed over every rank on
+  /// every backend and cumulative over the Machine's life: a miss builds
+  /// and stores a schedule, a hit replays a stored one. Redistribution and
+  /// halo lookups count here; both zero when MachineConfig::plan_cache is
+  /// off (every call then builds a schedule it does not keep).
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
 
-  /// Collective plan cache counters (see comm/collective_plan.hpp): stored
-  /// broadcast/reduce trees and rooted gather/scatter schedules. Both zero
-  /// when MachineConfig::plan_cache is off (schedules are then built per
-  /// call and not kept) or no collective ran.
+  /// The same for the tree and rooted collective schedules.
   std::uint64_t collective_plan_hits = 0;
   std::uint64_t collective_plan_misses = 0;
 
-  /// Payload-pool releases that could not stay in the releasing worker's
-  /// shard and spilled to the shared list (see Machine::pool_release).
+  /// Pool releases that could not stay in the releasing worker's shard
+  /// and spilled to the shared list (see Machine::pool_release).
   std::uint64_t pool_spills = 0;
 
   /// The worker placement policy of the run ("none", "compact", "scatter",
@@ -160,8 +164,8 @@ class Machine {
   exec::Backend& backend() noexcept { return *backend_; }
   const exec::Backend& backend() const noexcept { return *backend_; }
 
-  /// The underlying event simulator. Throws std::logic_error on the
-  /// threaded backend — code that needs modeled time must run on `sim`.
+  /// The underlying event simulator. Throws std::logic_error on threads
+  /// and proc — code that needs modeled time must run on `sim`.
   runtime::Simulator& sim();
 
   /// The event recorder, or nullptr when MachineConfig::trace is off.
@@ -213,97 +217,102 @@ class Machine {
                                  const std::string& error);
 
   /// True when host-side schedules and pooled buffers are kept across
-  /// calls (MachineConfig::plan_cache). When false, the schedule caches
-  /// build a schedule per call without storing or counting it, and the
-  /// payload pools drop every released buffer.
+  /// calls (MachineConfig::plan_cache). When false, plan() builds a
+  /// schedule per call without storing or counting it, and the buffer
+  /// pools drop every released buffer.
   bool keeps_plans() const noexcept { return config_.plan_cache; }
 
-  // ---- redistribution plan cache slot (see dist/plan_cache.hpp) ----
-
-  /// The attached plan cache, or nullptr before first use.
-  MachineCacheBase* plan_cache_slot() noexcept { return plan_cache_.get(); }
-  void set_plan_cache_slot(std::unique_ptr<MachineCacheBase> cache) {
-    plan_cache_ = std::move(cache);
-  }
-  /// Serializes plan-cache attachment and lookup across worker threads
-  /// (the simulator's fibers never contend on it).
-  std::mutex& cache_mutex() noexcept { return cache_mu_; }
-  /// Bumps the hit/miss counters reported through RunResult, the metrics
-  /// registry, and the calling processor's open trace spans. Atomic: on
-  /// the threaded backend every worker counts concurrently.
-  void count_plan_cache(bool hit) noexcept;
-
-  // ---- collective plan cache slot (see comm/collective_plan.hpp) ----
+  // ---- plan store ----
   //
-  // A second, independent slot: the comm layer cannot see the dist layer's
-  // PlanCache type (comm links below dist), and keeping the counters apart
-  // lets A/B gates assert on redistribution and collective caching
-  // separately. Attachment is serialized by the same cache_mutex().
+  // Inspector-built schedules (dist redistribution and halo, comm tree and
+  // rooted collectives) live here, shared by every processor of this
+  // process and kept across run() calls. The owning layer builds the key
+  // words and the schedule; the store keeps one table per PlanKind.
 
-  /// The attached collective-schedule cache, or nullptr before first use.
-  MachineCacheBase* collective_cache_slot() noexcept { return collective_cache_.get(); }
-  void set_collective_cache_slot(std::unique_ptr<MachineCacheBase> cache) {
-    collective_cache_ = std::move(cache);
+  /// Soft capacity per kind: inserting past it clears that kind's table
+  /// wholesale (outstanding shared_ptr holders keep their schedules).
+  static constexpr std::size_t kMaxPlans = 128;
+
+  /// The schedule of kind S::kKind stored under `key`, or, on a miss, the
+  /// one `build()` returns (a std::shared_ptr<const S>), stored. Counts a
+  /// hit or miss in RunResult, the metrics registry and the trace:
+  /// redistribution and halo under fxpar_dist_plan_cache_*, tree and
+  /// rooted under fxpar_comm_collective_plan_*. With keeps_plans() off it
+  /// returns build() without storing or counting it.
+  template <class S, class Build>
+  std::shared_ptr<const S> plan(std::vector<std::int64_t> key, Build&& build) {
+    if (!keeps_plans()) return build();
+    return std::static_pointer_cast<const S>(
+        plan_entry(S::kKind, std::move(key),
+                   [&build]() -> std::shared_ptr<const void> { return build(); }));
   }
-  /// Collective-plan counterpart of count_plan_cache().
-  void count_collective_plan(bool hit) noexcept;
 
-  // ---- payload buffer pool ----
+  /// Schedules currently stored under `kind`.
+  std::size_t plan_entries(PlanKind kind) const;
+
+  // ---- buffer pools ----
   //
   // Repeated handoffs move payload buffers sender -> mailbox -> receiver;
   // returning them here after unpacking lets the next pack reuse the
-  // allocation instead of growing a fresh vector per message. The pool is
-  // sharded per logical processor: the owning worker pushes and pops its
-  // shard without any lock (the backend guarantees one worker per rank),
-  // and only shard overflow — or an empty shard on acquire — touches the
-  // shared spill list under pool_mu_. Buffers migrate sender -> receiver,
-  // so the spill list is what lets allocations circulate back to the
-  // senders in rooted patterns (gathers, reductions). The pool is
-  // host-side only and never changes modeled time. With
-  // MachineConfig::plan_cache off it keeps nothing: releases drop the
-  // buffer, so every acquire allocates afresh.
+  // allocation instead of growing a fresh vector per message. The
+  // collective executors pool their std::vector<double> results (the
+  // dominant element type of the numeric apps) the same way, so a
+  // steady-state collective stream is allocation-quiet (bench_micro
+  // --collective-compare watches minor faults across iterations).
+  //
+  // Each element type (std::byte payloads, double scratch) has its own
+  // pool, sharded per logical processor: the owning worker pushes and pops
+  // its shard without any lock (the backend guarantees one worker per
+  // rank), and only shard overflow — or an empty shard on acquire —
+  // touches the shared spill list under the pool's mutex. Buffers migrate
+  // sender -> receiver, so the spill list is what lets allocations
+  // circulate back to the senders in rooted patterns (gathers,
+  // reductions). The pools are host-side only and never change modeled
+  // time. With MachineConfig::plan_cache off they keep nothing: releases
+  // drop the buffer, so every acquire allocates afresh.
 
-  /// A buffer of exactly `bytes` bytes, reusing a pooled allocation if
-  /// any. The *contents are unspecified* — every caller overwrites the
-  /// buffer in full before the bytes become visible to anyone.
-  Payload pool_acquire(std::size_t bytes);
+  /// A vector of exactly `n` elements of T (std::byte or double), reusing
+  /// a pooled allocation if any. The *contents are unspecified* — every
+  /// caller overwrites the buffer in full before anyone reads it.
+  template <class T = std::byte>
+  std::vector<T> pool_acquire(std::size_t n);
 
   /// Returns a spent buffer to the releasing worker's shard (spilling to
   /// the shared list when the shard is full; dropped once both are full,
   /// or always when keeps_plans() is false).
-  void pool_release(Payload&& p);
+  template <class T>
+  void pool_release(std::vector<T>&& v);
 
   /// Releases that overflowed a worker shard onto the shared spill list
   /// (cumulative; also exported as fxpar_machine_pool_spills_total).
   std::uint64_t pool_spill_count() const noexcept {
-    return stat_pool_spills_.load(std::memory_order_relaxed);
+    return backend_->host_counter(exec::kPoolSpills).load(std::memory_order_relaxed);
   }
 
-  // ---- typed double-vector scratch pool ----
-  //
-  // The collective executors also churn std::vector<double> results
-  // (the dominant element type of the numeric apps): every unpack, gather
-  // concatenation and allreduce intermediate is a fresh vector that dies
-  // one call later. These mirror pool_acquire/pool_release for that one
-  // type, with the same shard-then-spill discipline, so a steady-state
-  // collective stream is allocation-quiet (bench_micro --collective-compare
-  // watches minor faults across iterations).
-
-  /// A vector of exactly `n` doubles, reusing a pooled allocation if any.
-  /// Contents are unspecified; every caller overwrites them in full.
-  std::vector<double> double_acquire(std::size_t n);
-
-  /// Returns a spent double vector to the calling worker's shard (dropped
-  /// when keeps_plans() is false).
-  void double_release(std::vector<double>&& v);
-
  private:
-  /// One worker's private stash of spent payload buffers. Cache-line
-  /// aligned so neighbouring ranks' pushes never false-share.
-  struct alignas(64) PoolShard {
-    std::vector<Payload> bufs;
-    std::vector<std::vector<double>> dbufs;
+  /// The spent buffers of one element type.
+  template <class T>
+  struct BufferPool {
+    /// One worker's private stash. Cache-line aligned so neighbouring
+    /// ranks' pushes never false-share.
+    struct alignas(64) Shard {
+      std::vector<std::vector<T>> bufs;
+    };
+    std::vector<Shard> shards;  ///< one per rank; owner access only
+    std::mutex mu;
+    std::vector<std::vector<T>> spill;  ///< shared spill list (mu)
   };
+
+  struct PlanKeyHash {
+    std::size_t operator()(const std::vector<std::int64_t>& key) const noexcept;
+  };
+  using PlanTable =
+      std::unordered_map<std::vector<std::int64_t>, std::shared_ptr<const void>, PlanKeyHash>;
+
+  /// The one lookup, store and eviction path behind plan().
+  std::shared_ptr<const void> plan_entry(
+      PlanKind kind, std::vector<std::int64_t>&& key,
+      const std::function<std::shared_ptr<const void>()>& build);
 
   /// True when any observability feature that wants failure bundles on
   /// stderr is on (endpoint, flight recorder or watchdog).
@@ -336,22 +345,16 @@ class Machine {
   std::condition_variable watchdog_cv_;
   bool watchdog_stop_ = false;  ///< guarded by watchdog_mu_
 
-  std::atomic<std::uint64_t> stat_plan_hits_{0};
-  std::atomic<std::uint64_t> stat_plan_misses_{0};
-  std::atomic<std::uint64_t> stat_coll_hits_{0};
-  std::atomic<std::uint64_t> stat_coll_misses_{0};
-  std::atomic<std::uint64_t> stat_pool_spills_{0};
+  /// Held across lookup *and* build, for every kind: on threads the first
+  /// rank to miss builds the schedule while the rest wait and then hit, so
+  /// hit/miss totals match the simulator's exactly. Each proc rank is its
+  /// own process with its own store, so there misses count once per rank.
+  mutable std::mutex plan_mu_;
+  std::array<PlanTable, kPlanKinds> plans_;  ///< indexed by PlanKind (plan_mu_)
 
-  std::mutex cache_mu_;
-  std::unique_ptr<MachineCacheBase> plan_cache_;
-  std::unique_ptr<MachineCacheBase> collective_cache_;
-
-  std::vector<PoolShard> pool_shards_;  ///< one per rank; owner access only
-  std::mutex pool_mu_;
-  std::vector<Payload> payload_pool_;  ///< shared spill list (pool_mu_)
-  std::vector<std::vector<double>> double_pool_;  ///< shared spill list (pool_mu_)
-  static constexpr std::size_t kMaxShardPayloads = 16;
-  static constexpr std::size_t kMaxPooledPayloads = 64;
+  std::tuple<BufferPool<std::byte>, BufferPool<double>> pools_;
+  static constexpr std::size_t kMaxShardBuffers = 16;
+  static constexpr std::size_t kMaxSpilledBuffers = 64;
 
   /// Declared last: its handlers capture `this` and read every member
   /// above, so the server thread must be the first thing destroyed.

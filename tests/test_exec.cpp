@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/fx.hpp"
+#include "comm/collectives.hpp"
 #include "comm/serialize.hpp"
 #include "core/parallel_loop.hpp"
 #include "dist/redistribute.hpp"
@@ -238,12 +239,34 @@ mx::RunResult run_redistribution_program(const MachineConfig& cfg) {
     rows.fill([](std::span<const std::int64_t> gi) {
       return static_cast<double>(gi[0] * 100 + gi[1]);
     });
+    double x = 1.0;
     for (int round = 0; round < 4; ++round) {
       ds::assign(ctx, cols, rows);
       ds::assign(ctx, rows, cols);
+      x = fxpar::comm::allreduce(ctx, g, x, std::plus<double>{});
     }
     ctx.barrier();
   });
+}
+
+MachineConfig forked(int p) {
+  auto c = MachineConfig::paragon(p);
+  c.backend = ex::BackendKind::Proc;
+  return c;
+}
+
+/// RunResult's plan-store counters must equal the registry's.
+void expect_counters_match_registry(const mx::RunResult& r, const char* backend) {
+  ASSERT_NE(r.metrics, nullptr) << backend;
+  EXPECT_EQ(r.plan_cache_hits, r.metrics->counter("fxpar_dist_plan_cache_hits_total")) << backend;
+  EXPECT_EQ(r.plan_cache_misses, r.metrics->counter("fxpar_dist_plan_cache_misses_total"))
+      << backend;
+  EXPECT_EQ(r.collective_plan_hits, r.metrics->counter("fxpar_comm_collective_plan_hits_total"))
+      << backend;
+  EXPECT_EQ(r.collective_plan_misses,
+            r.metrics->counter("fxpar_comm_collective_plan_misses_total"))
+      << backend;
+  EXPECT_EQ(r.pool_spills, r.metrics->counter("fxpar_machine_pool_spills_total")) << backend;
 }
 
 }  // namespace
@@ -252,15 +275,45 @@ TEST(ExecCounters, ThreadedTotalsMatchSimulator) {
   FXPAR_SKIP_SIM_UNDER_TSAN();
   const auto sim_res = run_redistribution_program(simulated(4));
   const auto thr_res = run_redistribution_program(threaded(4));
-  EXPECT_EQ(sim_res.messages, thr_res.messages);
-  EXPECT_EQ(sim_res.bytes, thr_res.bytes);
-  EXPECT_EQ(sim_res.barriers, thr_res.barriers);
+  const auto proc_res = run_redistribution_program(forked(4));
+  for (const auto* r : {&thr_res, &proc_res}) {
+    EXPECT_EQ(sim_res.messages, r->messages) << r->backend;
+    EXPECT_EQ(sim_res.bytes, r->bytes) << r->backend;
+    EXPECT_EQ(sim_res.barriers, r->barriers) << r->backend;
+  }
   EXPECT_EQ(sim_res.plan_cache_hits, thr_res.plan_cache_hits);
   EXPECT_EQ(sim_res.plan_cache_misses, thr_res.plan_cache_misses);
-  // The repeated rounds must actually hit the plan cache for this test to
+  EXPECT_EQ(sim_res.collective_plan_hits, thr_res.collective_plan_hits);
+  EXPECT_EQ(sim_res.collective_plan_misses, thr_res.collective_plan_misses);
+  // The repeated rounds must actually hit the plan store for this test to
   // exercise its concurrent lookup path.
   EXPECT_GT(thr_res.plan_cache_hits, 0u);
   EXPECT_GT(thr_res.plan_cache_misses, 0u);
+  EXPECT_GT(thr_res.collective_plan_hits, 0u);
+
+  // Every backend reports the totals over all ranks: the registry agrees,
+  // and each lookup is a hit or a miss wherever it ran. Each proc rank
+  // keeps its own store, so there every rank misses once per schedule.
+  for (const auto* r : {&sim_res, &thr_res, &proc_res}) {
+    expect_counters_match_registry(*r, r->backend.c_str());
+    EXPECT_EQ(r->plan_cache_hits + r->plan_cache_misses,
+              sim_res.plan_cache_hits + sim_res.plan_cache_misses)
+        << r->backend;
+    EXPECT_EQ(r->collective_plan_hits + r->collective_plan_misses,
+              sim_res.collective_plan_hits + sim_res.collective_plan_misses)
+        << r->backend;
+  }
+  EXPECT_EQ(proc_res.plan_cache_misses, 4 * sim_res.plan_cache_misses);
+  EXPECT_EQ(proc_res.collective_plan_misses, 4 * sim_res.collective_plan_misses);
+
+  // Without the registry the proc totals still cover every rank.
+  auto quiet = forked(4);
+  quiet.metrics = false;
+  const auto quiet_res = run_redistribution_program(quiet);
+  EXPECT_EQ(quiet_res.plan_cache_hits, proc_res.plan_cache_hits);
+  EXPECT_EQ(quiet_res.plan_cache_misses, proc_res.plan_cache_misses);
+  EXPECT_EQ(quiet_res.collective_plan_hits, proc_res.collective_plan_hits);
+  EXPECT_EQ(quiet_res.collective_plan_misses, proc_res.collective_plan_misses);
 }
 
 // ---------------------------------------------------------------------------

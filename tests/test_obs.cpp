@@ -396,7 +396,7 @@ TEST(Sampler, SeriesMonotoneAndGapFreeOnThreads) {
 // ---------------------------------------------------------------------------
 // Utilization report satellites
 
-TEST(Report, ShowsCollectivePlanCacheAndPoolSpills) {
+TEST(Report, ShowsCollectivePlanCountsAndPoolSpills) {
   mx::RunResult res;
   res.finish_time = 1.0;
   res.clocks.resize(2);

@@ -1,6 +1,6 @@
-// Tests for the redistribution plan cache internals: flattened schedule
-// construction, cache keying and discrimination, eviction safety, and the
-// halo exchange schedule.
+// Tests for the machine's plan store and the schedules it keeps: flattened
+// redistribution schedule construction, key discrimination, the store's
+// identity and eviction rules, and the halo exchange schedule.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -29,7 +29,7 @@ std::int64_t seg_elements(const ds::plan::FlatPlan& fp) {
 
 }  // namespace
 
-TEST(PlanCache, FlattenedSegmentsCoverEveryPlanElement) {
+TEST(DistPlan, FlattenedSegmentsCoverEveryPlanElement) {
   const auto g = pg::ProcessorGroup::identity(4);
   const ds::Layout src(g, {9, 7}, {ds::DimDist::block(), ds::DimDist::cyclic()});
   const ds::Layout dst(g, {9, 7}, {ds::DimDist::cyclic(), ds::DimDist::block()});
@@ -51,7 +51,7 @@ TEST(PlanCache, FlattenedSegmentsCoverEveryPlanElement) {
   EXPECT_EQ(total, 9 * 7);  // every element handled exactly once
 }
 
-TEST(PlanCache, PermutedScheduleCoversDistinctDestinations) {
+TEST(DistPlan, PermutedScheduleCoversDistinctDestinations) {
   const auto g = pg::ProcessorGroup::identity(4);
   const ds::Layout src(g, {6, 8}, {ds::DimDist::block(), ds::DimDist::collapsed()});
   const ds::Layout dst(g, {8, 6}, {ds::DimDist::block(), ds::DimDist::collapsed()});
@@ -77,23 +77,25 @@ TEST(PlanCache, PermutedScheduleCoversDistinctDestinations) {
   EXPECT_EQ(total, 6 * 8);
 }
 
-TEST(PlanCache, SameArgumentsHitAndShareTheSchedule) {
+TEST(DistPlan, SameArgumentsHitAndShareTheSchedule) {
   mx::Machine m(cfg(4));
-  auto& pc = ds::plan::PlanCache::of(m);
   const auto g = pg::ProcessorGroup::identity(4);
   const ds::Layout src(g, {16}, {ds::DimDist::block()});
   const ds::Layout dst(g, {16}, {ds::DimDist::cyclic()});
   const std::vector<int> perm{0};
   const std::vector<int> inv{0};
-  const auto s1 = pc.redist(m, src, dst, perm, inv, {0});
-  const auto s2 = pc.redist(m, src, dst, perm, inv, {0});
+  const auto s1 = ds::plan::redist_schedule(m, src, dst, perm, inv, {0});
+  const auto s2 = ds::plan::redist_schedule(m, src, dst, perm, inv, {0});
   EXPECT_EQ(s1.get(), s2.get());
-  EXPECT_EQ(pc.redist_entries(), 1u);
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Redist), 1u);
 }
 
-TEST(PlanCache, KeyDiscriminatesLayoutDetails) {
+TEST(DistPlan, KeyDiscriminatesLayoutDetails) {
   mx::Machine m(cfg(4));
-  auto& pc = ds::plan::PlanCache::of(m);
+  const auto redist = [&m](const ds::Layout& s, const ds::Layout& d, const std::vector<int>& perm,
+                           const std::vector<int>& inv, const std::vector<std::int64_t>& off) {
+    ds::plan::redist_schedule(m, s, d, perm, inv, off);
+  };
   const auto g = pg::ProcessorGroup::identity(4);
   const std::vector<int> perm{0};
   const std::vector<int> inv{0};
@@ -104,47 +106,18 @@ TEST(PlanCache, KeyDiscriminatesLayoutDetails) {
   const ds::Layout b20(g, {20}, {ds::DimDist::block()});
   const pg::ProcessorGroup sub({0, 1});
   const ds::Layout bsub(sub, {16}, {ds::DimDist::block()});
-  pc.redist(m, b16, c16, perm, inv, {0});
-  pc.redist(m, b16, bc2, perm, inv, {0});   // distribution kind
-  pc.redist(m, b16, bc4, perm, inv, {0});   // block size
-  pc.redist(m, b20, c16, perm, inv, {0});   // extent (shifted assigns clip)
-  pc.redist(m, bsub, c16, perm, inv, {0});  // group membership
-  pc.redist(m, b16, c16, perm, inv, {2});   // offset
-  EXPECT_EQ(pc.redist_entries(), 6u);
-  pc.redist(m, b16, c16, perm, inv, {0});  // replay of the first
-  EXPECT_EQ(pc.redist_entries(), 6u);
+  redist(b16, c16, perm, inv, {0});
+  redist(b16, bc2, perm, inv, {0});   // distribution kind
+  redist(b16, bc4, perm, inv, {0});   // block size
+  redist(b20, c16, perm, inv, {0});   // extent (shifted assigns clip)
+  redist(bsub, c16, perm, inv, {0});  // group membership
+  redist(b16, c16, perm, inv, {2});   // offset
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Redist), 6u);
+  redist(b16, c16, perm, inv, {0});  // replay of the first
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Redist), 6u);
 }
 
-TEST(PlanCache, EvictionKeepsOutstandingSchedulesAlive) {
-  mx::Machine m(cfg(2));
-  auto& pc = ds::plan::PlanCache::of(m);
-  const auto g = pg::ProcessorGroup::identity(2);
-  const std::vector<int> perm{0};
-  const std::vector<int> inv{0};
-  const ds::Layout src0(g, {8}, {ds::DimDist::block()});
-  const ds::Layout dst0(g, {8}, {ds::DimDist::cyclic()});
-  const auto held = pc.redist(m, src0, dst0, perm, inv, {0});
-  const std::int64_t held_elems = held->pair(0, 0).elements + held->pair(0, 1).elements +
-                                  held->pair(1, 0).elements + held->pair(1, 1).elements;
-  EXPECT_EQ(held_elems, 8);
-  // Flood the table past capacity; the wholesale eviction must not touch
-  // the schedule a (possibly blocked) caller still holds.
-  for (std::int64_t n = 9; n < 9 + 2 * static_cast<std::int64_t>(
-                                       ds::plan::PlanCache::kMaxEntries);
-       ++n) {
-    const ds::Layout s(g, {n}, {ds::DimDist::block()});
-    const ds::Layout d(g, {n}, {ds::DimDist::cyclic()});
-    pc.redist(m, s, d, perm, inv, {0});
-  }
-  EXPECT_LE(pc.redist_entries(), ds::plan::PlanCache::kMaxEntries);
-  std::int64_t again = 0;
-  for (int s = 0; s < 2; ++s) {
-    for (int r = 0; r < 2; ++r) again += held->pair(s, r).elements;
-  }
-  EXPECT_EQ(again, 8);  // still fully readable after eviction
-}
-
-TEST(PlanCache, ReplicatedSourceStoresOneSenderSlot) {
+TEST(DistPlan, ReplicatedSourceStoresOneSenderSlot) {
   const auto g = pg::ProcessorGroup::identity(3);
   const ds::Layout src(g, {9}, {ds::DimDist::collapsed()});
   const ds::Layout dst(g, {9}, {ds::DimDist::block()});
@@ -158,7 +131,7 @@ TEST(PlanCache, ReplicatedSourceStoresOneSenderSlot) {
   for (int s = 0; s < 3; ++s) EXPECT_EQ(sched->pair(s, 1).elements, 3);
 }
 
-TEST(PlanCache, HaloScheduleBalancesSendsAndReceives) {
+TEST(DistPlan, HaloScheduleBalancesSendsAndReceives) {
   const auto g = pg::ProcessorGroup::identity(4);
   const ds::Layout lay(g, {2, 13, 5},
                        {ds::DimDist::collapsed(), ds::DimDist::block(), ds::DimDist::collapsed()});
@@ -185,9 +158,8 @@ TEST(PlanCache, HaloScheduleBalancesSendsAndReceives) {
 }
 
 // ---------------------------------------------------------------------------
-// Collective plan cache (comm/collective_plan.hpp): schedule builders,
-// cache on/off bit parity on both backends, hit/miss accounting, and the
-// group-key collision guard.
+// Collective schedules (comm/collective_plan.hpp): schedule builders, store
+// on/off bit parity on both backends, and hit/miss accounting.
 // ---------------------------------------------------------------------------
 
 #include <functional>
@@ -261,44 +233,97 @@ TEST(CollectivePlan, RootedScheduleListsPeersAscending) {
 
 TEST(CollectivePlan, CacheHitsShareTheSchedule) {
   mx::Machine m(cfg(4));
-  auto& cc = cp::CollectiveCache::of(m);
   const auto g = pg::ProcessorGroup::identity(4);
-  const auto t1 = cc.tree(m, g, 0);
-  const auto t2 = cc.tree(m, g, 0);
+  const auto t1 = cp::tree_schedule(m, g, 0);
+  const auto t2 = cp::tree_schedule(m, g, 0);
   EXPECT_EQ(t1.get(), t2.get());
-  EXPECT_EQ(cc.tree_entries(), 1u);
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Tree), 1u);
   // A different root is a different entry.
-  const auto t3 = cc.tree(m, g, 2);
+  const auto t3 = cp::tree_schedule(m, g, 2);
   EXPECT_NE(t1.get(), t3.get());
-  EXPECT_EQ(cc.tree_entries(), 2u);
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Tree), 2u);
   // Tree and rooted tables are independent.
-  (void)cc.rooted(m, g, 0);
-  EXPECT_EQ(cc.rooted_entries(), 1u);
-  EXPECT_EQ(cc.tree_entries(), 2u);
+  (void)cp::rooted_schedule(m, g, 0);
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Rooted), 1u);
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Tree), 2u);
 }
 
-TEST(CollectivePlan, GroupKeyCollisionGuardThrows) {
-  const pg::ProcessorGroup g({0, 1, 2});
-  // Matching member list passes.
-  EXPECT_NO_THROW(cp::CollectiveCache::check_members({0, 1, 2}, g, "tree"));
-  // A different list under the same key must be rejected, not replayed.
-  EXPECT_THROW(cp::CollectiveCache::check_members({0, 1, 3}, g, "tree"), std::logic_error);
-  EXPECT_THROW(cp::CollectiveCache::check_members({0, 1}, g, "tree"), std::logic_error);
+// ---------------------------------------------------------------------------
+// The plan store itself (Machine::plan): identity and eviction rules.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t store_counter(const mx::Machine& m, const char* name) {
+  return m.metrics_snapshot().counter(name);
 }
 
-TEST(CollectivePlan, EvictionKeepsOutstandingSchedulesAlive) {
+}  // namespace
+
+TEST(PlanStore, SameKeyWordsUnderTwoKindsAreTwoEntries) {
+  mx::Machine m(cfg(3));
+  const std::vector<std::int64_t> words{0, 0, 1, 2};
+  const auto tree = m.plan<cp::TreeSchedule>(words, [] {
+    return std::make_shared<const cp::TreeSchedule>(cp::build_tree_schedule({0, 1, 2}, 0));
+  });
+  const auto rooted = m.plan<cp::RootedSchedule>(words, [] {
+    return std::make_shared<const cp::RootedSchedule>(cp::build_rooted_schedule({0, 1, 2}, 0));
+  });
+  EXPECT_NE(static_cast<const void*>(tree.get()), static_cast<const void*>(rooted.get()));
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Tree), 1u);
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Rooted), 1u);
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Redist), 0u);
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Halo), 0u);
+  // Both lookups missed: the second kind did not see the first's entry.
+  EXPECT_EQ(store_counter(m, "fxpar_comm_collective_plan_misses_total"), 2u);
+  EXPECT_EQ(store_counter(m, "fxpar_comm_collective_plan_hits_total"), 0u);
+  EXPECT_EQ(rooted->peers, (std::vector<int>{1, 2}));
+}
+
+TEST(PlanStore, PermutedMemberListsGetDistinctTreeSchedules) {
+  mx::Machine m(cfg(3));
+  const pg::ProcessorGroup fwd({0, 1, 2});
+  const pg::ProcessorGroup rev({2, 1, 0});
+  const auto a = cp::tree_schedule(m, fwd, 0);
+  const auto b = cp::tree_schedule(m, rev, 0);
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(a->members, fwd.members());
+  EXPECT_EQ(b->members, rev.members());
+  EXPECT_EQ(m.plan_entries(mx::PlanKind::Tree), 2u);
+  EXPECT_EQ(cp::tree_schedule(m, rev, 0).get(), b.get());
+}
+
+TEST(PlanStore, EvictionKeepsOutstandingSchedulesAlive) {
   mx::Machine m(cfg(2));
-  auto& cc = cp::CollectiveCache::of(m);
   const auto g = pg::ProcessorGroup::identity(2);
-  const auto held = cc.tree(m, g, 0);
-  // Flood with distinct roots over distinct subgroups to pass capacity.
-  for (std::size_t i = 0; i < 2 * cp::CollectiveCache::kMaxEntries; ++i) {
-    (void)cc.tree(m, g, static_cast<int>(i % 2));
-    const pg::ProcessorGroup sub({static_cast<int>(i % 2)});
-    (void)cc.tree(m, sub, 0);
+  const std::vector<int> perm{0};
+  const std::vector<int> inv{0};
+  const ds::Layout src0(g, {8}, {ds::DimDist::block()});
+  const ds::Layout dst0(g, {8}, {ds::DimDist::cyclic()});
+  const auto held = ds::plan::redist_schedule(m, src0, dst0, perm, inv, {0});
+  const auto held_elems = [&held] {
+    std::int64_t n = 0;
+    for (int s = 0; s < 2; ++s) {
+      for (int r = 0; r < 2; ++r) n += held->pair(s, r).elements;
+    }
+    return n;
+  };
+  EXPECT_EQ(held_elems(), 8);
+  // Flood the table with more distinct keys of the one kind than it holds;
+  // the wholesale eviction must not touch the schedule a (possibly
+  // blocked) caller still holds.
+  for (std::int64_t n = 9; n < 9 + static_cast<std::int64_t>(mx::Machine::kMaxPlans) + 8; ++n) {
+    const ds::Layout s(g, {n}, {ds::DimDist::block()});
+    const ds::Layout d(g, {n}, {ds::DimDist::cyclic()});
+    ds::plan::redist_schedule(m, s, d, perm, inv, {0});
   }
-  EXPECT_LE(cc.tree_entries(), cp::CollectiveCache::kMaxEntries);
-  EXPECT_EQ(static_cast<int>(held->nodes.size()), 2);  // still readable
+  EXPECT_LE(m.plan_entries(mx::PlanKind::Redist), mx::Machine::kMaxPlans);
+  EXPECT_EQ(held_elems(), 8);  // still fully readable after eviction
+  // The held key was evicted: looking it up again builds a new schedule.
+  const std::uint64_t misses = store_counter(m, "fxpar_dist_plan_cache_misses_total");
+  const auto again = ds::plan::redist_schedule(m, src0, dst0, perm, inv, {0});
+  EXPECT_EQ(store_counter(m, "fxpar_dist_plan_cache_misses_total"), misses + 1);
+  EXPECT_NE(again.get(), held.get());
 }
 
 namespace {

@@ -332,7 +332,7 @@ TEST(Trace, IoWaitsAreSerializedAndAttributed) {
 // Steal / plan-cache span attribution and merged concurrent traces
 // ---------------------------------------------------------------------------
 
-TEST(Trace, StealAndPlanCacheEventsAttributeToOpenSpans) {
+TEST(Trace, StealAndPlanLookupEventsAttributeToOpenSpans) {
   tr::TraceRecorder rec(2);
   double t = 0.0;
   rec.set_clock([&](int) { return t; });
@@ -375,7 +375,7 @@ TEST(Trace, StealAndPlanCacheEventsAttributeToOpenSpans) {
   EXPECT_EQ(outer->plan_misses, 1u);
 }
 
-TEST(Trace, PhaseReportSurfacesStealAndPlanCacheCounters) {
+TEST(Trace, PhaseReportSurfacesStealAndPlanLookupCounters) {
   tr::TraceRecorder rec(1);
   double t = 0.0;
   rec.set_clock([&](int) { return t; });
