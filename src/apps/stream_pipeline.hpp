@@ -190,7 +190,7 @@ StreamStats run_stream_pipeline_on(machine::Machine& machine,
     struct StageBufs {
       std::unique_ptr<DistArray<T>> in, out;
     };
-    trace::ScopedSpan setup_span = ctx.span("setup", "stream");
+    obs::Scope setup_span = ctx.span("setup", "stream");
     std::vector<std::vector<std::vector<StageBufs>>> bufs(modules.size());
     for (std::size_t m = 0; m < modules.size(); ++m) {
       bufs[m].resize(static_cast<std::size_t>(modules[m].instances));
@@ -236,11 +236,8 @@ StreamStats run_stream_pipeline_on(machine::Machine& machine,
               dist::assign(ctx, *per_stage[s].in, *per_stage[s - 1].out);
             }
             const int abs_stage = modules[m].first_stage + static_cast<int>(s);
-            trace::ScopedSpan stage_span;
-            if (ctx.tracer()) {
-              stage_span =
-                  ctx.span(stages[static_cast<std::size_t>(abs_stage)].name, "stage");
-            }
+            const obs::Scope stage_span =
+                ctx.span(stages[static_cast<std::size_t>(abs_stage)].name, "stage");
             const int data_id = opts.set_ids ? (*opts.set_ids)[static_cast<std::size_t>(set)]
                                              : set;
             stages[static_cast<std::size_t>(abs_stage)].run(ctx, *per_stage[s].in,

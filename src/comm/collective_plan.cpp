@@ -18,11 +18,9 @@ std::vector<std::int64_t> collective_key(const pgroup::ProcessorGroup& g, int ro
 
 }  // namespace
 
-TreeSchedule build_tree_schedule(const std::vector<int>& members, int root) {
+TreeSchedule build_tree_schedule(int n, int root) {
   TreeSchedule s;
-  s.members = members;
   s.root = root;
-  const int n = static_cast<int>(members.size());
   s.nodes.resize(static_cast<std::size_t>(n));
   for (int me = 0; me < n; ++me) {
     TreeSchedule::Node& nd = s.nodes[static_cast<std::size_t>(me)];
@@ -54,11 +52,9 @@ TreeSchedule build_tree_schedule(const std::vector<int>& members, int root) {
   return s;
 }
 
-RootedSchedule build_rooted_schedule(const std::vector<int>& members, int root) {
+RootedSchedule build_rooted_schedule(int n, int root) {
   RootedSchedule s;
-  s.members = members;
   s.root = root;
-  const int n = static_cast<int>(members.size());
   s.peers.reserve(static_cast<std::size_t>(n > 0 ? n - 1 : 0));
   for (int v = 0; v < n; ++v) {
     if (v != root) s.peers.push_back(v);
@@ -69,14 +65,14 @@ RootedSchedule build_rooted_schedule(const std::vector<int>& members, int root) 
 std::shared_ptr<const TreeSchedule> tree_schedule(machine::Machine& m,
                                                   const pgroup::ProcessorGroup& g, int root) {
   return m.plan<TreeSchedule>(collective_key(g, root), [&] {
-    return std::make_shared<const TreeSchedule>(build_tree_schedule(g.members(), root));
+    return std::make_shared<const TreeSchedule>(build_tree_schedule(g.size(), root));
   });
 }
 
 std::shared_ptr<const RootedSchedule> rooted_schedule(machine::Machine& m,
                                                       const pgroup::ProcessorGroup& g, int root) {
   return m.plan<RootedSchedule>(collective_key(g, root), [&] {
-    return std::make_shared<const RootedSchedule>(build_rooted_schedule(g.members(), root));
+    return std::make_shared<const RootedSchedule>(build_rooted_schedule(g.size(), root));
   });
 }
 

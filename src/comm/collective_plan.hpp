@@ -42,8 +42,7 @@ namespace fxpar::comm::plan {
 struct TreeSchedule {
   static constexpr machine::PlanKind kKind = machine::PlanKind::Tree;
 
-  std::vector<int> members;  ///< physical members
-  int root = 0;              ///< virtual root rank
+  int root = 0;  ///< virtual root rank
 
   struct Node {
     int reduce_parent = -1;  ///< vrank the partial result is sent to (-1: root)
@@ -60,17 +59,16 @@ struct TreeSchedule {
 struct RootedSchedule {
   static constexpr machine::PlanKind kKind = machine::PlanKind::Rooted;
 
-  std::vector<int> members;  ///< physical members
-  int root = 0;              ///< virtual root rank
-  std::vector<int> peers;    ///< vranks 0..n-1 excluding the root, ascending
+  int root = 0;             ///< virtual root rank
+  std::vector<int> peers;   ///< vranks 0..n-1 excluding the root, ascending
 };
 
 /// Builds the binomial tree for a group of `n` members rooted at virtual
-/// rank `root` (exposed for tests; members is the physical member list).
-TreeSchedule build_tree_schedule(const std::vector<int>& members, int root);
+/// rank `root` (exposed for tests).
+TreeSchedule build_tree_schedule(int n, int root);
 
 /// Builds the rooted star (exposed for tests).
-RootedSchedule build_rooted_schedule(const std::vector<int>& members, int root);
+RootedSchedule build_rooted_schedule(int n, int root);
 
 /// The tree schedule of (g, root) from `m`'s plan store, built and stored
 /// on a miss. The store is shared by all processors of a process, so under

@@ -4,8 +4,7 @@ namespace fxpar::comm {
 
 Payload broadcast_bytes(Context& ctx, const ProcessorGroup& g, int root, Payload bytes) {
   detail::check_member_root(ctx, g, root);
-  trace::ScopedSpan sp_ = ctx.span("broadcast", "collective");
-  detail::count_collective(ctx);
+  const obs::Scope sp_ = ctx.scope(obs::Op::Collective, "collective", "broadcast");
   const int n = g.size();
   const int me = g.virtual_of(ctx.phys_rank());
   if (n == 1) return bytes;

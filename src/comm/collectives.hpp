@@ -23,7 +23,6 @@
 #include "comm/serialize.hpp"
 #include "machine/context.hpp"
 #include "pgroup/group.hpp"
-#include "trace/trace.hpp"
 
 namespace fxpar::comm {
 
@@ -38,14 +37,6 @@ inline void check_member_root(const Context& ctx, const ProcessorGroup& g, int r
   }
   if (root < 0 || root >= g.size()) {
     throw std::out_of_range("collective: root virtual rank out of range");
-  }
-}
-
-/// Metrics hook shared by every collective: one count per member per
-/// invocation (so the counter scales with participation, like barriers).
-inline void count_collective(Context& ctx) {
-  if (metrics::RuntimeMetrics* mm = ctx.machine().metrics()) {
-    mm->collectives->add(ctx.phys_rank());
   }
 }
 
@@ -111,8 +102,7 @@ std::vector<T> broadcast_vector(Context& ctx, const ProcessorGroup& g, int root,
 template <TriviallyPackable T, typename Op>
 T reduce(Context& ctx, const ProcessorGroup& g, int root, T value, Op op) {
   detail::check_member_root(ctx, g, root);
-  trace::ScopedSpan sp_ = ctx.span("reduce", "collective");
-  detail::count_collective(ctx);
+  const obs::Scope sp_ = ctx.scope(obs::Op::Collective, "collective", "reduce");
   const int me = g.virtual_of(ctx.phys_rank());
   const std::uint64_t tag = ctx.collective_tag(g);
 
@@ -144,8 +134,7 @@ template <TriviallyPackable T, typename Op>
 std::vector<T> reduce_vector(Context& ctx, const ProcessorGroup& g, int root,
                              std::vector<T> value, Op op) {
   detail::check_member_root(ctx, g, root);
-  trace::ScopedSpan sp_ = ctx.span("reduce_vector", "collective");
-  detail::count_collective(ctx);
+  const obs::Scope sp_ = ctx.scope(obs::Op::Collective, "collective", "reduce_vector");
   const int me = g.virtual_of(ctx.phys_rank());
   const std::uint64_t tag = ctx.collective_tag(g);
 
@@ -202,8 +191,7 @@ T scan(Context& ctx, const ProcessorGroup& g, T value, Op op) {
   if (!g.contains(ctx.phys_rank())) {
     throw std::logic_error("scan: calling processor is not a group member");
   }
-  trace::ScopedSpan sp_ = ctx.span("scan", "collective");
-  detail::count_collective(ctx);
+  const obs::Scope sp_ = ctx.scope(obs::Op::Collective, "collective", "scan");
   const int n = g.size();
   const int me = g.virtual_of(ctx.phys_rank());
   const std::uint64_t tag = ctx.collective_tag(g);
@@ -225,8 +213,7 @@ T exscan(Context& ctx, const ProcessorGroup& g, T value, Op op, T identity) {
   if (!g.contains(ctx.phys_rank())) {
     throw std::logic_error("exscan: calling processor is not a group member");
   }
-  trace::ScopedSpan sp_ = ctx.span("exscan", "collective");
-  detail::count_collective(ctx);
+  const obs::Scope sp_ = ctx.scope(obs::Op::Collective, "collective", "exscan");
   const int n = g.size();
   const int me = g.virtual_of(ctx.phys_rank());
   const std::uint64_t tag = ctx.collective_tag(g);
@@ -246,8 +233,7 @@ T exscan(Context& ctx, const ProcessorGroup& g, T value, Op op, T identity) {
 template <TriviallyPackable T>
 std::vector<T> gather(Context& ctx, const ProcessorGroup& g, int root, const T& value) {
   detail::check_member_root(ctx, g, root);
-  trace::ScopedSpan sp_ = ctx.span("gather", "collective");
-  detail::count_collective(ctx);
+  const obs::Scope sp_ = ctx.scope(obs::Op::Collective, "collective", "gather");
   const int n = g.size();
   const int me = g.virtual_of(ctx.phys_rank());
   const std::uint64_t tag = ctx.collective_tag(g);
@@ -272,8 +258,7 @@ template <TriviallyPackable T>
 std::vector<T> gather_vectors(Context& ctx, const ProcessorGroup& g, int root,
                               const std::vector<T>& value) {
   detail::check_member_root(ctx, g, root);
-  trace::ScopedSpan sp_ = ctx.span("gather_vectors", "collective");
-  detail::count_collective(ctx);
+  const obs::Scope sp_ = ctx.scope(obs::Op::Collective, "collective", "gather_vectors");
   const int n = g.size();
   const int me = g.virtual_of(ctx.phys_rank());
   const std::uint64_t tag = ctx.collective_tag(g);
@@ -329,8 +314,7 @@ template <TriviallyPackable T>
 std::vector<T> scatter_vectors(Context& ctx, const ProcessorGroup& g, int root,
                                const std::vector<std::vector<T>>& parts) {
   detail::check_member_root(ctx, g, root);
-  trace::ScopedSpan sp_ = ctx.span("scatter_vectors", "collective");
-  detail::count_collective(ctx);
+  const obs::Scope sp_ = ctx.scope(obs::Op::Collective, "collective", "scatter_vectors");
   const int n = g.size();
   const int me = g.virtual_of(ctx.phys_rank());
   const std::uint64_t tag = ctx.collective_tag(g);
@@ -370,8 +354,7 @@ std::vector<std::vector<T>> alltoall_vectors(Context& ctx, const ProcessorGroup&
   if (static_cast<int>(send_parts.size()) != n) {
     throw std::invalid_argument("alltoall_vectors: need one part per member");
   }
-  trace::ScopedSpan sp_ = ctx.span("alltoall_vectors", "collective");
-  detail::count_collective(ctx);
+  const obs::Scope sp_ = ctx.scope(obs::Op::Collective, "collective", "alltoall_vectors");
   const int me = g.virtual_of(ctx.phys_rank());
   const std::uint64_t tag = ctx.collective_tag(g);
   ctx.push_group(g);

@@ -27,7 +27,7 @@
 
 #include "machine/context.hpp"
 #include "pgroup/group.hpp"
-#include "trace/trace.hpp"
+#include "obs/sink.hpp"
 
 namespace fxpar::core::hpf {
 
@@ -47,7 +47,7 @@ void on(machine::Context& ctx, const pgroup::ProcessorGroup& g, Fn&& fn) {
   if (!g.contains(ctx.phys_rank())) return;
   ctx.push_group(g);
   try {
-    trace::ScopedSpan sp = ctx.span("hpf_on", "subgroup");
+    const obs::Scope sp = ctx.span("hpf_on", "subgroup");
     if constexpr (std::is_invocable_v<Fn&, const pgroup::ProcessorGroup&>) {
       fn(g);
     } else {

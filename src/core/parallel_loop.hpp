@@ -56,20 +56,13 @@ inline std::pair<std::int64_t, std::int64_t> iteration_block(std::int64_t lo, st
 /// may execute concurrently on sibling workers.
 template <typename Body>
 void parallel_for(machine::Context& ctx, std::int64_t lo, std::int64_t hi, Body&& body) {
-  trace::ScopedSpan sp = ctx.span("parallel_for", "loop");
-  metrics::RuntimeMetrics* const mm = ctx.machine().metrics();
-  const int rank = ctx.phys_rank();
-  double t0 = 0.0;
-  if (mm) {
-    mm->loops->add(rank);
-    t0 = ctx.machine().backend().now(rank);
-  }
+  // Counts and times (modeled seconds on the simulator, real seconds
+  // elsewhere) the loop under its span.
+  const obs::Scope scope = ctx.scope(obs::Op::Loop, "loop", "parallel_for");
   ctx.machine().backend().run_chunks(ctx.group(), lo, hi,
                                      [&body](std::int64_t first, std::int64_t last) {
                                        for (std::int64_t i = first; i < last; ++i) body(i);
                                      });
-  // Modeled seconds on the simulator, real seconds on the threaded backend.
-  if (mm) mm->loop_s->observe(rank, ctx.machine().backend().now(rank) - t0);
 }
 
 /// do&merge: evaluates `body(i)` for every iteration, merges locally in
@@ -78,18 +71,8 @@ void parallel_for(machine::Context& ctx, std::int64_t lo, std::int64_t hi, Body&
 template <typename T, typename Body, typename Merge>
 T parallel_reduce(machine::Context& ctx, std::int64_t lo, std::int64_t hi, Body&& body,
                   Merge&& merge, T init) {
-  trace::ScopedSpan sp = ctx.span("parallel_reduce", "loop");
+  const obs::Scope scope = ctx.scope(obs::Op::Loop, "loop", "parallel_reduce");
   exec::Backend& backend = ctx.machine().backend();
-  metrics::RuntimeMetrics* const mm = ctx.machine().metrics();
-  const int rank = ctx.phys_rank();
-  double t0 = 0.0;
-  if (mm) {
-    mm->loops->add(rank);
-    t0 = backend.now(rank);
-  }
-  auto observe = [&] {
-    if (mm) mm->loop_s->observe(rank, backend.now(rank) - t0);
-  };
   T local = init;
   if (backend.stealing_loops()) {
     // Chunks of this block may run concurrently (on this worker and on
@@ -122,13 +105,8 @@ T parallel_reduce(machine::Context& ctx, std::int64_t lo, std::int64_t hi, Body&
                          }
                        });
   }
-  if (ctx.nprocs() == 1) {
-    observe();
-    return local;
-  }
-  T result = comm::allreduce(ctx, ctx.group(), local, merge);
-  observe();
-  return result;
+  if (ctx.nprocs() == 1) return local;
+  return comm::allreduce(ctx, ctx.group(), local, merge);
 }
 
 }  // namespace fxpar::core

@@ -14,14 +14,8 @@ TaskRegion::TaskRegion(Context& ctx, const TaskPartition& part)
                            " was not declared against the current processor group " +
                            ctx_.group().to_string());
   }
-  if (ctx_.tracer()) {
-    region_span_ = ctx_.span(
-        part_.name().empty() ? std::string("region") : "region:" + part_.name(),
-        "task_region");
-  }
-  if (metrics::RuntimeMetrics* mm = ctx_.machine().metrics()) {
-    mm->task_regions->add(ctx_.phys_rank());
-  }
+  region_scope_ = ctx_.scope(obs::Op::TaskRegion, "task_region",
+                             part_.name().empty() ? "region" : "region:", part_.name());
 }
 
 TaskRegion::~TaskRegion() {
@@ -43,13 +37,11 @@ void TaskRegion::enter_on(int subgroup_index) {
   }
   ctx_.push_group(part_.subgroup(subgroup_index));
   in_on_ = true;
-  if (ctx_.tracer()) {
-    on_span_ = ctx_.span("on:" + part_.subgroup_name(subgroup_index), "subgroup");
-  }
+  on_scope_ = ctx_.scope(obs::Op::Span, "subgroup", "on:", part_.subgroup_name(subgroup_index));
 }
 
 void TaskRegion::leave_on() {
-  on_span_.close();
+  on_scope_.close();
   ctx_.pop_group();
   in_on_ = false;
 }

@@ -23,7 +23,7 @@
 #include <utility>
 
 #include "core/task_partition.hpp"
-#include "trace/trace.hpp"
+#include "obs/sink.hpp"
 
 namespace fxpar::core {
 
@@ -79,8 +79,8 @@ class TaskRegion {
   const TaskPartition& part_;
   int base_depth_;        ///< group-stack depth at region entry
   bool in_on_ = false;
-  trace::ScopedSpan region_span_;  ///< open for the region's lifetime
-  trace::ScopedSpan on_span_;      ///< open while inside an ON block
+  obs::Scope region_scope_;  ///< open for the region's lifetime
+  obs::Scope on_scope_;      ///< open while inside an ON block
 };
 
 }  // namespace fxpar::core

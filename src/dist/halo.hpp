@@ -111,15 +111,9 @@ HaloRows<T> exchange_row_halo_impl(machine::Context& ctx, const DistArray<T>& a,
 /// (*, BLOCK, *)) among the owning group. Every member must call.
 template <typename T>
 HaloRows<T> exchange_row_halo(machine::Context& ctx, const DistArray<T>& a, int halo) {
-  metrics::RuntimeMetrics* const mm = ctx.machine().metrics();
-  if (!mm) return detail::exchange_row_halo_impl(ctx, a, halo);
-  const int rank = ctx.phys_rank();
-  mm->halos->add(rank);
-  // Per-participant latency: modeled on the simulator, real on threads.
-  const double t0 = ctx.machine().backend().now(rank);
-  HaloRows<T> out = detail::exchange_row_halo_impl(ctx, a, halo);
-  mm->halo_s->observe(rank, ctx.machine().backend().now(rank) - t0);
-  return out;
+  // Counts and times the exchange; it opens no span.
+  const obs::Scope scope = ctx.scope(obs::Op::Halo, "halo", {});
+  return detail::exchange_row_halo_impl(ctx, a, halo);
 }
 
 }  // namespace fxpar::dist

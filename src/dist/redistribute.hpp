@@ -41,7 +41,6 @@
 #include "dist/dist_array.hpp"
 #include "dist/plan_cache.hpp"
 #include "machine/context.hpp"
-#include "trace/trace.hpp"
 
 namespace fxpar::dist {
 
@@ -135,14 +134,9 @@ void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
   const pgroup::ProcessorGroup& ug = sched->ugroup;
   const int me = ctx.phys_rank();
   if (!ug.contains(me)) return;
-  metrics::RuntimeMetrics* const mm = ctx.machine().metrics();
-  double mt0 = 0.0;
-  if (mm) {
-    mm->redists->add(me);
-    mt0 = ctx.machine().backend().now(me);
-  }
-  trace::ScopedSpan sp_;
-  if (ctx.tracer()) sp_ = ctx.span("assign:" + dst.name(), "redistribute");
+  // Counts, times (per participant: modeled seconds on the simulator, real
+  // seconds elsewhere) and names the redistribution until it returns.
+  const obs::Scope scope = ctx.scope(obs::Op::Redist, "redistribute", "assign:", dst.name());
   const std::uint64_t tag = ctx.collective_tag(ug);
   if (sync == AssignSync::SubsetBarrier) ctx.barrier(ug);
 
@@ -200,9 +194,6 @@ void assign_general(Context& ctx, DistArray<T>& dst, const DistArray<T>& src,
       ctx.machine().pool_release(std::move(buf));
     }
   }
-  // Per-participant latency: modeled seconds on the simulator, real
-  // seconds on the threaded backend.
-  if (mm) mm->redist_s->observe(me, ctx.machine().backend().now(me) - mt0);
 }
 
 /// dst = src with matching shapes (possibly different distributions and

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -44,16 +43,9 @@
 #include "pgroup/group.hpp"
 #include "runtime/simulator.hpp"
 
-namespace fxpar::trace {
-class TraceRecorder;
-}
-
-namespace fxpar::metrics {
-struct RuntimeMetrics;
-}
-
 namespace fxpar::obs {
-class FlightRecorder;
+class Sink;
+struct RankWords;
 }
 
 namespace fxpar::exec {
@@ -105,30 +97,14 @@ constexpr std::pair<std::int64_t, std::int64_t> loop_block(std::int64_t lo, std:
 /// buffers — is the owner's regardless of which worker ran the chunk.
 using ChunkBody = std::function<void(std::int64_t lo, std::int64_t hi)>;
 
-/// Counters the machine layer keeps for its host-side services (the plan
-/// store and the payload pool); indexes for Backend::host_counter().
-enum HostCounter : std::size_t {
-  kPlanHits,              ///< redistribution and halo schedules replayed
-  kPlanMisses,            ///< redistribution and halo schedules built and kept
-  kCollectivePlanHits,    ///< tree and rooted collective schedules replayed
-  kCollectivePlanMisses,  ///< tree and rooted collective schedules built and kept
-  kPoolSpills,            ///< pool releases that overflowed a rank's shard
-  kNumHostCounters,
-};
-
-/// Aggregate per-run numbers a backend hands back after run(). The
-/// interpretation of the clock fields is backend-defined: modeled seconds
-/// on the simulator, real host seconds on threads and proc.
+/// Per-run clock numbers a backend hands back after run() (the service
+/// counters are the obs::Sink's words). The interpretation of the clock
+/// fields is backend-defined: modeled seconds on the simulator, real host
+/// seconds on threads and proc.
 struct BackendStats {
   double finish_time = 0.0;  ///< completion time of the slowest processor
   std::vector<runtime::ProcClock> clocks;
-  std::uint64_t messages = 0;
-  std::uint64_t bytes = 0;
-  std::uint64_t barriers = 0;
   double wait_ms = 0.0;  ///< total *real* blocked time (threads and proc)
-  std::uint64_t steals = 0;        ///< loop chunks stolen by idle subgroup siblings
-  std::uint64_t stolen_iters = 0;  ///< iterations executed by a non-owning worker
-  std::vector<std::uint64_t> traffic;  ///< src * P + dst, when recorded
 
   /// Per-worker NUMA node ids under an active pinning policy (threaded
   /// backend; empty on the simulator or with pinning none/failed). Index
@@ -152,23 +128,18 @@ class Backend {
   /// the first exception escaping any processor body.
   virtual void run(const std::function<void(int)>& body) = 0;
 
-  /// Installs (or clears) the trace recorder observing this backend.
-  virtual void set_tracer(trace::TraceRecorder* tracer) noexcept = 0;
+  /// Installs the event sink every service site emits into (one event per
+  /// deposit, receive, barrier, io operation and stolen chunk). The Machine
+  /// installs it before the first run and it must stay set.
+  void set_sink(obs::Sink* sink) noexcept { sink_ = sink; }
 
-  /// Installs (or clears) the always-on metrics set. Backends update only
-  /// their own hot-path metrics (e.g. steals on the threaded engine,
-  /// modeled busy time on the simulator); the Machine layer covers the
-  /// backend-agnostic ones (messages, barriers, waits). Null — the
-  /// default — means metrics are disabled and hot paths pay one pointer
-  /// compare.
-  void set_metrics(metrics::RuntimeMetrics* m) noexcept { metrics_ = m; }
-  metrics::RuntimeMetrics* runtime_metrics() const noexcept { return metrics_; }
-
-  /// Installs (or clears) the always-on flight recorder. Like metrics,
-  /// null — the default — means the recorder is off and every hook site
-  /// pays one pointer compare.
-  void set_flight(obs::FlightRecorder* f) noexcept { flight_ = f; }
-  obs::FlightRecorder* flight() const noexcept { return flight_; }
+  /// Memory for the sink's always-on counters: num_procs() RankWords, and
+  /// the num_procs() x num_procs() traffic matrix (null unless
+  /// MachineConfig::record_traffic). The backend owns both, so a backend
+  /// whose ranks run in other processes can place them where all ranks
+  /// write and the launching process reads.
+  obs::RankWords* words() const noexcept { return words_; }
+  std::atomic<std::uint64_t>* traffic() const noexcept { return traffic_; }
 
   /// Live structured introspection: per-worker state (running / parked +
   /// block reason / finished), mailbox and loop-deque depths, placement,
@@ -251,19 +222,10 @@ class Backend {
   /// instead of accumulating inline).
   virtual bool stealing_loops() const noexcept { return false; }
 
-  /// Host-service counter `c` (see HostCounter), cumulative over the
-  /// backend's life. Every rank adds to the same word, wherever it runs:
-  /// the rank runtime keeps these in its shared control block, so the
-  /// launching process reads totals over all ranks on proc too.
-  std::atomic<std::uint64_t>& host_counter(HostCounter c) noexcept { return host_counters_[c]; }
-
  protected:
-  metrics::RuntimeMetrics* metrics_ = nullptr;  ///< null = metrics disabled
-  obs::FlightRecorder* flight_ = nullptr;       ///< null = recorder disabled
-  std::array<std::atomic<std::uint64_t>, kNumHostCounters> own_host_counters_{};
-  /// Where host_counter() lives: this process by default; a backend whose
-  /// ranks run in other processes points it at memory they all share.
-  std::atomic<std::uint64_t>* host_counters_ = own_host_counters_.data();
+  obs::Sink* sink_ = nullptr;
+  obs::RankWords* words_ = nullptr;                 ///< set by the derived constructor
+  std::atomic<std::uint64_t>* traffic_ = nullptr;   ///< likewise, when recorded
 };
 
 }  // namespace fxpar::exec

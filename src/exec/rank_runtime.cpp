@@ -18,14 +18,12 @@
 #include <utility>
 
 #include "exec/topology.hpp"
-#include "metrics/runtime_metrics.hpp"
 #include "net/futex.hpp"
 #include "net/local_channel.hpp"
 #include "net/shm_channel.hpp"
 #include "net/socket_channel.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/sink.hpp"
 #include "runtime/simulator.hpp"  // runtime::DeadlockError
-#include "trace/trace.hpp"
 
 namespace fxpar::exec {
 
@@ -34,8 +32,10 @@ namespace fxpar::exec {
 //
 // One mapping, MAP_SHARED | MAP_ANONYMOUS, created by the constructor. A
 // forked rank inherits it, so every rank of either kind addresses the same
-// words. Everything the ranks must agree on cheaply lives here; variable-size
-// state (payloads, trace shards, metric deltas) travels over net::Channel.
+// words. Everything the ranks must agree on cheaply lives here — including the
+// event sink's per-rank counters, so forked ranks count where the launching
+// process reads; variable-size state (payloads, a finishing child's
+// residue) travels over net::Channel.
 
 namespace rankdetail {
 
@@ -83,12 +83,11 @@ struct alignas(64) RankCtrl {
   /// run yet from a blocked one.
   std::atomic<std::int32_t> await_slot{-1};
   std::atomic<std::uint32_t> await_epoch{0};
-  // Final counters, owner-written by publish_final() before `done` goes
-  // up; read only after the rank's thread is joined or process reaped.
+  // Final clock numbers, owner-written by publish_final() before `done`
+  // goes up; read only after the rank's thread is joined or process reaped.
   double elapsed_s = 0.0;
   double wait_s = 0.0;
-  std::uint64_t blocks = 0, messages = 0, bytes = 0, barriers = 0;
-  std::uint64_t steals = 0, stolen_iters = 0;
+  std::uint64_t blocks = 0;
 };
 
 /// One subset barrier, keyed on the group's content key and claimed on
@@ -152,9 +151,8 @@ struct Ctrl {
   FrozenBarrier* frozen_barriers = nullptr;
   int* members = nullptr;      ///< nslots x procs
   double* arrive_t = nullptr;  ///< nslots x procs, by vrank (traced runs)
+  obs::RankWords* words = nullptr;  ///< Backend::words(): the sink's counters
   std::atomic<std::uint64_t>* traffic = nullptr;  ///< src * P + dst, or null
-  /// Backend::host_counter() words; never reset, so they span runs.
-  std::atomic<std::uint64_t>* host_counters = nullptr;
 
  private:
   /// Lays the arrays out from offset 0; constructs them when `at` is set.
@@ -177,8 +175,8 @@ struct Ctrl {
     take(frozen_barriers, s);
     take(members, s * p);
     take(arrive_t, s * p);
+    take(words, p);
     if (with_traffic) take(traffic, p * p);
-    take(host_counters, kNumHostCounters);
     bytes = off;
   }
 };
@@ -301,7 +299,8 @@ RankRuntime::RankRuntime(const machine::MachineConfig& config) : config_(config)
     throw std::invalid_argument("RankRuntime: num_procs must be positive");
   }
   ctrl_ = std::make_unique<Ctrl>(config_.num_procs, config_.record_traffic);
-  host_counters_ = ctrl_->host_counters;
+  words_ = ctrl_->words;
+  traffic_ = ctrl_->traffic;
   ranks_.reserve(static_cast<std::size_t>(config_.num_procs));
   for (int r = 0; r < config_.num_procs; ++r) ranks_.push_back(std::make_unique<Rank>());
   pids_.assign(static_cast<std::size_t>(config_.num_procs), 0);
@@ -338,7 +337,7 @@ void RankRuntime::reset_run_state() {
     rc.await_slot.store(-1, std::memory_order_relaxed);
     rc.await_epoch.store(0, std::memory_order_relaxed);
     rc.elapsed_s = rc.wait_s = 0.0;
-    rc.blocks = rc.messages = rc.bytes = rc.barriers = rc.steals = rc.stolen_iters = 0;
+    rc.blocks = 0;
 
     Rank& me = *ranks_[static_cast<std::size_t>(r)];
     me.chan.reset();
@@ -346,7 +345,7 @@ void RankRuntime::reset_run_state() {
     me.barrier_epoch.clear();
     me.loop_epoch.clear();
     me.wait_s = 0.0;
-    me.blocks = me.messages = me.bytes = me.barriers = me.steals = me.stolen_iters = 0;
+    me.blocks = 0;
   }
   for (int i = 0; i < c.nslots; ++i) {
     BarrierSlot& s = c.slots[i];
@@ -357,10 +356,6 @@ void RankRuntime::reset_run_state() {
     s.waiting.store(0, std::memory_order_relaxed);
     s.last_arriver.store(-1, std::memory_order_relaxed);
     s.max_arrival_bits.store(0, std::memory_order_relaxed);
-  }
-  if (c.traffic != nullptr) {
-    const auto n = static_cast<std::size_t>(num_procs()) * static_cast<std::size_t>(num_procs());
-    for (std::size_t i = 0; i < n; ++i) c.traffic[i].store(0, std::memory_order_relaxed);
   }
   residue_.clear();
   first_error_ = nullptr;
@@ -392,7 +387,6 @@ void RankRuntime::run(const std::function<void(int)>& body) {
   }
   reset_run_state();
   t0_ = std::chrono::steady_clock::now();
-  if (tracer_) tracer_->set_concurrent(num_procs());
   transport_ = make_transport();
   if (forked()) {
     launch_forked(body);
@@ -403,7 +397,6 @@ void RankRuntime::run(const std::function<void(int)>& body) {
   const rankdetail::Header& h = *ctrl_->hdr;
   const std::uint32_t aborted = h.abort.load(std::memory_order_acquire);
   if (aborted == 0 && forked()) absorb_residue();
-  if (tracer_) tracer_->merge_concurrent();
   for (auto& r : ranks_) r->chan.reset();
   transport_.reset();
 
@@ -437,7 +430,7 @@ void RankRuntime::launch_threads(const std::function<void(int)>& body) {
       if (place.cpu >= 0 && pin_current_thread(place)) {
         ctrl_->ranks[r].cpu.store(place.cpu, std::memory_order_relaxed);
         ctrl_->ranks[r].node.store(place.node, std::memory_order_relaxed);
-        if (tracer_) tracer_->set_worker_placement(r, place.cpu, place.node);
+        sink_->placement(r, place.cpu, place.node);
       }
       run_body(body, r);
       publish_final(r);
@@ -456,12 +449,12 @@ void RankRuntime::launch_threads(const std::function<void(int)>& body) {
   for (auto& t : threads) t.join();
   stop_monitor();
 
-  if (metrics_ && !pin_plan.empty()) {
+  if (!pin_plan.empty()) {
     int pinned = 0;
     for (int r = 0; r < p; ++r) {
       pinned += ctrl_->ranks[r].cpu.load(std::memory_order_relaxed) >= 0 ? 1 : 0;
     }
-    metrics_->pinned_workers->set(pinned);
+    sink_->pinned_workers(pinned);
   }
 }
 
@@ -527,11 +520,6 @@ void RankRuntime::publish_final(int rank) {
   rc.elapsed_s = now_s();
   rc.wait_s = me.wait_s;
   rc.blocks = me.blocks;
-  rc.messages = me.messages;
-  rc.bytes = me.bytes;
-  rc.barriers = me.barriers;
-  rc.steals = me.steals;
-  rc.stolen_iters = me.stolen_iters;
 }
 
 void RankRuntime::mark_done(int rank) {
@@ -553,23 +541,22 @@ void RankRuntime::child_main(const std::function<void(int)>& body, int rank) {
   // Fork-time baselines: copy-on-write hands this child the registry and
   // flight rings exactly as they stood at fork, so "what this rank did" is
   // precisely the end state minus these.
-  metrics::Snapshot fork_snap;
-  if (metrics_) fork_snap = metrics_->registry.snapshot();
-  const std::uint64_t fork_flight = flight_ ? flight_->ring_total(rank) : 0;
+  const obs::Sink::ForkMark fork_mark = sink_->fork_mark(rank);
 
   int code = 3;
   if (run_body(body, rank) && ctrl_->hdr->abort.load(std::memory_order_acquire) == 0) {
     publish_final(rank);
     try {
-      ship_residue(rank, fork_snap, fork_flight);
+      const std::vector<std::byte> residue = sink_->residue(rank, fork_mark);
       mark_done(rank);
-      // Done last: per-source FIFO guarantees rank 0 holds every residue
-      // frame of this child once it sees the Done.
-      ranks_[static_cast<std::size_t>(rank)]->chan->send(0, net::FrameKind::Done, 0, nullptr,
-                                                         0);
+      // The residue rides in the Done frame, the child's last: per-source
+      // FIFO guarantees rank 0 holds everything this child sent once it
+      // sees the Done.
+      ranks_[static_cast<std::size_t>(rank)]->chan->send(0, net::FrameKind::Done, 0,
+                                                         residue.data(), residue.size());
       code = 0;
     } catch (...) {
-      // Aborted mid-residue; the parent reaps us either way.
+      // Aborted mid-send; the parent reaps us either way.
     }
   }
   // _Exit, not exit: a forked child must not run the parent's atexit
@@ -577,58 +564,9 @@ void RankRuntime::child_main(const std::function<void(int)>& body, int rank) {
   std::_Exit(code);
 }
 
-void RankRuntime::ship_residue(int rank, const metrics::Snapshot& fork_snap,
-                               std::uint64_t fork_flight_total) {
-  net::Channel& chan = *ranks_[static_cast<std::size_t>(rank)]->chan;
-  const auto ship = [&](net::FrameKind kind, std::uint64_t tag, std::vector<std::byte> blob) {
-    net::Frame f;
-    f.kind = kind;
-    f.tag = tag;
-    f.payload = std::move(blob);
-    chan.send(0, std::move(f));
-  };
-  if (metrics_) {
-    auto blob = metrics::serialize_delta(fork_snap, metrics_->registry.snapshot());
-    if (!blob.empty()) ship(net::FrameKind::Metrics, 0, std::move(blob));
-  }
-  if (tracer_) ship(net::FrameKind::Trace, 0, tracer_->serialize_shard(rank));
-  if (flight_) {
-    const auto events = flight_->ring_events(rank);
-    const std::uint64_t fresh = flight_->ring_total(rank) - fork_flight_total;
-    const auto n =
-        static_cast<std::size_t>(std::min<std::uint64_t>(fresh, events.size()));
-    if (n > 0) {
-      std::vector<std::byte> blob(n * sizeof(obs::FlightEvent));
-      std::memcpy(blob.data(), events.data() + (events.size() - n),
-                  n * sizeof(obs::FlightEvent));
-      ship(net::FrameKind::Flight, n, std::move(blob));
-    }
-  }
-}
-
 void RankRuntime::absorb_residue() {
-  for (auto& f : residue_) {
-    switch (f.kind) {
-      case net::FrameKind::Metrics:
-        if (metrics_) metrics::absorb_delta(metrics_->registry, f.payload.data(), f.payload.size());
-        break;
-      case net::FrameKind::Trace:
-        if (tracer_) tracer_->absorb_shard(f.payload.data(), f.payload.size());
-        break;
-      case net::FrameKind::Flight:
-        if (flight_) {
-          const std::size_t n = f.payload.size() / sizeof(obs::FlightEvent);
-          for (std::size_t i = 0; i < n; ++i) {
-            obs::FlightEvent e;
-            std::memcpy(&e, f.payload.data() + i * sizeof(obs::FlightEvent),
-                        sizeof(obs::FlightEvent));
-            flight_->record(e.proc, e.kind, e.t, e.name, e.a, e.b);
-          }
-        }
-        break;
-      default:
-        break;
-    }
+  for (const net::Frame& f : residue_) {
+    if (f.kind == net::FrameKind::Done) sink_->absorb_residue(f.payload.data(), f.payload.size());
   }
   residue_.clear();
 }
@@ -771,21 +709,13 @@ void RankRuntime::deposit(int dst, std::uint64_t tag, Payload data) {
   check_abort();
   beat(src);
   Ctrl& c = *ctrl_;
-  const std::size_t nbytes = data.size();
   net::Frame f;
   f.src = src;
   f.tag = tag;
   f.sent_at = now_s();
-  if (tracer_) f.trace_id = tracer_->message_sent(src, dst, tag, nbytes, f.sent_at, f.sent_at);
+  f.trace_id = sink_->emit({.kind = obs::EventKind::Send, .rank = src, .peer = dst,
+                            .t0 = f.sent_at, .t1 = f.sent_at, .bytes = data.size(), .key = tag});
   f.payload = std::move(data);
-  me.messages += 1;
-  me.bytes += nbytes;
-  if (c.traffic != nullptr) {
-    // Row `src` has one writer: this rank.
-    auto& cell = c.traffic[static_cast<std::size_t>(src) * static_cast<std::size_t>(num_procs()) +
-                           static_cast<std::size_t>(dst)];
-    cell.store(cell.load(std::memory_order_relaxed) + nbytes, std::memory_order_relaxed);
-  }
   c.ranks[dst].mail_depth.fetch_add(1, std::memory_order_relaxed);
 
   if (dst == src) {
@@ -833,13 +763,14 @@ Payload RankRuntime::receive(int src, std::uint64_t tag) {
       if (it->second.empty()) me.matched.erase(it);
       rc.mail_depth.fetch_sub(1, std::memory_order_relaxed);
       beat(rank);
+      const double ready = now_s();
       if (blocked) {
-        me.wait_s += now_s() - entry;
+        me.wait_s += ready - entry;
         me.blocks += 1;
       }
-      if (tracer_ && f.trace_id != 0) {
-        tracer_->message_received_at(f.trace_id, rank, src, f.sent_at, entry, now_s());
-      }
+      sink_->emit({.kind = obs::EventKind::Recv, .rank = rank, .peer = src, .t0 = entry,
+                   .t1 = ready, .ready = ready, .cause_t = f.sent_at,
+                   .bytes = f.payload.size(), .key = tag, .ref = f.trace_id});
       return std::move(f.payload);
     }
     if (spin < kSpinRounds) {
@@ -883,9 +814,13 @@ void RankRuntime::barrier(const pgroup::ProcessorGroup& group) {
   }
   check_abort();
   beat(rank);
-  me.barriers += 1;
   const int n = group.size();
-  if (n == 1) return;
+  if (n == 1) {
+    const double t = now_s();
+    sink_->emit({.kind = obs::EventKind::Barrier, .rank = rank, .t0 = t, .t1 = t, .ready = t,
+                 .key = group.key()});
+    return;
+  }
 
   Ctrl& c = *ctrl_;
   const int si = barrier_slot_for(c, group);
@@ -894,8 +829,10 @@ void RankRuntime::barrier(const pgroup::ProcessorGroup& group) {
   const auto want = static_cast<std::uint32_t>(episode);
   const double arrived_at = now_s();
   double* arrive_t = c.slot_arrivals(si);
+  // The release cause (the latest arrival) is gathered only for the trace.
+  const bool causes = sink_->tracer() != nullptr;
   // Stored before the arrival RMW below; the root's RMW acquires the chain.
-  if (tracer_) arrive_t[group.virtual_of(rank)] = arrived_at;
+  if (causes) arrive_t[group.virtual_of(rank)] = arrived_at;
   const auto released = [&] {
     return static_cast<std::int32_t>(slot.epoch.load(std::memory_order_seq_cst) - want) >= 0;
   };
@@ -904,7 +841,7 @@ void RankRuntime::barrier(const pgroup::ProcessorGroup& group) {
       static_cast<std::uint32_t>(n)) {
     // Root (the last arriver): publish the release cause, reset the slot
     // for the next episode, then bump the epoch and wake any parked waiter.
-    if (tracer_) {
+    if (causes) {
       const int last = static_cast<int>(std::max_element(arrive_t, arrive_t + n) - arrive_t);
       slot.last_arriver.store(group.members()[static_cast<std::size_t>(last)],
                               std::memory_order_relaxed);
@@ -955,12 +892,12 @@ void RankRuntime::barrier(const pgroup::ProcessorGroup& group) {
     me.wait_s += released_at - arrived_at;
     me.blocks += 1;
   }
-  if (tracer_) {
-    tracer_->barrier_record(
-        group.key(), episode, rank, arrived_at, released_at,
-        slot.last_arriver.load(std::memory_order_relaxed),
-        std::bit_cast<double>(slot.max_arrival_bits.load(std::memory_order_relaxed)));
-  }
+  sink_->emit({.kind = obs::EventKind::Barrier, .rank = rank,
+               .peer = slot.last_arriver.load(std::memory_order_relaxed), .t0 = arrived_at,
+               .t1 = released_at, .ready = released_at,
+               .cause_t = std::bit_cast<double>(
+                   slot.max_arrival_bits.load(std::memory_order_relaxed)),
+               .key = group.key(), .ref = episode});
 }
 
 // ---------------------------------------------------------------------------
@@ -1103,19 +1040,10 @@ void RankRuntime::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t l
           if (ch.taken.exchange(true, std::memory_order_acq_rel)) continue;
           run_one(s, ch);
           beat(rank);
-          const auto iters = static_cast<std::uint64_t>(ch.hi - ch.lo);
-          const int victim = arena->members[static_cast<std::size_t>(u)];
-          me.steals += 1;
-          me.stolen_iters += iters;
-          if (metrics_) {
-            metrics_->steals->add(rank);
-            metrics_->stolen_iters->add(rank, iters);
-          }
-          if (tracer_) tracer_->steal_event(rank, victim, iters, now_s());
-          if (flight_) {
-            flight_->record(rank, obs::FlightKind::Steal, now_s(), "steal",
-                            static_cast<std::uint64_t>(victim), iters);
-          }
+          const double t = now_s();
+          sink_->emit({.kind = obs::EventKind::Steal, .rank = rank,
+                       .peer = arena->members[static_cast<std::size_t>(u)], .t0 = t, .t1 = t,
+                       .bytes = static_cast<std::uint64_t>(ch.hi - ch.lo)});
           next_victim = u;
           stole = true;
           break;
@@ -1170,6 +1098,8 @@ void RankRuntime::io_operation(std::size_t bytes) {
   // operation — is blocked time; the device section itself is the caller's
   // own work and stays in busy time.
   const auto token = static_cast<std::uint32_t>(rank) + 1;
+  obs::Event e{.kind = obs::EventKind::Io, .rank = rank, .peer = rank, .t0 = entry,
+               .ready = entry, .cause_t = entry, .bytes = bytes};
   std::uint32_t expect = 0;
   if (!h.io_lock.compare_exchange_strong(expect, token, std::memory_order_acquire)) {
     RankCtrl& rc = ctrl_->ranks[rank];
@@ -1188,20 +1118,19 @@ void RankRuntime::io_operation(std::size_t bytes) {
       }
     }
     rc.reason.store(0, std::memory_order_release);
-    const double acquired = now_s();
-    me.wait_s += acquired - entry;
+    e.ready = now_s();
+    me.wait_s += e.ready - entry;
     me.blocks += 1;
-    if (tracer_) {
-      const int prev = h.io_prev.load(std::memory_order_relaxed);
-      tracer_->io_wait(rank, entry, acquired, prev >= 0 ? prev : rank, entry);
-    }
+    const int prev = h.io_prev.load(std::memory_order_relaxed);
+    if (prev >= 0) e.peer = prev;
   }
   h.io_prev.store(rank, std::memory_order_relaxed);
   // Device occupancy: the modeled latency/byte costs are simulator-side
   // parameters; the lock section is the serialization point and the
   // payload copy itself happens in the caller.
-  (void)bytes;
   h.io_lock.store(0, std::memory_order_release);
+  e.t1 = now_s();
+  sink_->emit(e);
 }
 
 // ---------------------------------------------------------------------------
@@ -1415,11 +1344,6 @@ BackendStats RankRuntime::stats() const {
     clk.blocks = rc.blocks;
     s.clocks.push_back(clk);
     s.finish_time = std::max(s.finish_time, rc.elapsed_s);
-    s.messages += rc.messages;
-    s.bytes += rc.bytes;
-    s.barriers += rc.barriers;
-    s.steals += rc.steals;
-    s.stolen_iters += rc.stolen_iters;
     s.wait_ms += rc.wait_s * 1e3;
     any_pinned = any_pinned || rc.cpu.load(std::memory_order_relaxed) >= 0;
   }
@@ -1427,12 +1351,6 @@ BackendStats RankRuntime::stats() const {
   // unpinned case keeps the vector empty (and the JSON field out).
   if (any_pinned) {
     for (int r = 0; r < p; ++r) s.numa_nodes.push_back(c.ranks[r].node.load(std::memory_order_relaxed));
-  }
-  if (c.traffic != nullptr) {
-    s.traffic.resize(static_cast<std::size_t>(p) * static_cast<std::size_t>(p));
-    for (std::size_t i = 0; i < s.traffic.size(); ++i) {
-      s.traffic[i] = c.traffic[i].load(std::memory_order_relaxed);
-    }
   }
   return s;
 }

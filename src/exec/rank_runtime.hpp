@@ -22,8 +22,8 @@
 // (parked flag, block reason, heartbeats, mailbox depth, placement), the
 // content-keyed subset-barrier table (arrival counter + futex epoch per
 // group, with a member-list collision guard), the io lock, the abort word
-// (also every channel's stop flag), the frozen failure snapshot and the
-// per-rank final counters.
+// (also every channel's stop flag), the frozen failure snapshot, the
+// per-rank final clocks and the event sink's per-rank counters.
 //
 //  - Messaging: a deposit becomes a Data frame carrying its trace id and
 //    send time; the receiver drains its channel into per-(source, tag)
@@ -50,9 +50,11 @@
 //    group only when ranks share an address space (stealing_loops()); a
 //    forked rank runs the static loop_block() schedule.
 //
-//  - Observability across fork: a finishing child ships its metrics
-//    delta, trace shard and flight-recorder tail to rank 0 as control
-//    frames, Done last; the parent absorbs them after the join.
+//  - Observability across fork: every service site emits into the
+//    Machine's obs::Sink, whose per-rank counters live in the control block.
+//    A finishing child encodes what else it recorded (metrics delta, trace
+//    shard, flight-recorder tail) as one residue blob in its Done frame;
+//    the parent absorbs it after the join.
 #pragma once
 
 #include <sys/types.h>
@@ -75,10 +77,6 @@
 #include "exec/backend.hpp"
 #include "machine/config.hpp"
 #include "net/channel.hpp"
-
-namespace fxpar::metrics {
-struct Snapshot;
-}
 
 namespace fxpar::exec {
 
@@ -110,7 +108,6 @@ class RankRuntime final : public Backend {
   int num_procs() const noexcept override { return config_.num_procs; }
 
   void run(const std::function<void(int)>& body) override;
-  void set_tracer(trace::TraceRecorder* tracer) noexcept override { tracer_ = tracer; }
   double now(int rank) const override;
   BackendStats stats() const override;
   /// Safe from any thread at any time: it reads control-block atomics and
@@ -160,9 +157,7 @@ class RankRuntime final : public Backend {
     /// per-rank counters agree and name the same arena.
     std::unordered_map<std::uint64_t, std::uint64_t> loop_epoch;
     double wait_s = 0.0;  ///< real seconds blocked (recv/barrier/io)
-    std::uint64_t blocks = 0, messages = 0, bytes = 0, barriers = 0;
-    std::uint64_t steals = 0;        ///< chunks this rank stole from siblings
-    std::uint64_t stolen_iters = 0;  ///< iterations run on behalf of siblings
+    std::uint64_t blocks = 0;
   };
 
   /// One work-stealing episode of one group's data-parallel loop (one
@@ -208,8 +203,8 @@ class RankRuntime final : public Backend {
   void reset_run_state();
   std::unique_ptr<net::Transport> make_transport() const;
   void attach(int rank);
-  /// Moves drained Data frames into `me.matched` (control frames into
-  /// residue_).
+  /// Moves drained Data frames into `me.matched` (children's Done frames
+  /// into residue_).
   void drain(Rank& me);
   /// First-failure protocol: claim the error slot, record `text` (and, in
   /// the caller's address space, `err`), freeze the per-rank introspection
@@ -221,19 +216,14 @@ class RankRuntime final : public Backend {
   void wake_all();
   /// Runs `body(rank)`; true when it returned normally.
   bool run_body(const std::function<void(int)>& body, int rank);
-  /// Final per-rank counters into the control block.
+  /// Final per-rank clock numbers into the control block.
   void publish_final(int rank);
   void mark_done(int rank);
 
   void launch_threads(const std::function<void(int)>& body);
   void launch_forked(const std::function<void(int)>& body);
   [[noreturn]] void child_main(const std::function<void(int)>& body, int rank);
-  /// Ships a finishing child's variable-size residue to rank 0: the metric
-  /// delta against the fork-time snapshot, its trace shard, and its flight
-  /// events past the fork-time ring total.
-  void ship_residue(int rank, const metrics::Snapshot& fork_snap,
-                    std::uint64_t fork_flight_total);
-  void absorb_residue();  ///< rank 0: apply shipped control frames
+  void absorb_residue();  ///< rank 0: apply the children's Done-frame residue
   void wait_for_children();
   void reap_children();
 
@@ -254,13 +244,12 @@ class RankRuntime final : public Backend {
                std::uint32_t& nb) const;
 
   machine::MachineConfig config_;
-  trace::TraceRecorder* tracer_ = nullptr;
   std::unique_ptr<rankdetail::Ctrl> ctrl_;
   std::chrono::steady_clock::time_point t0_;
 
   std::unique_ptr<net::Transport> transport_;       ///< per run
   std::vector<std::unique_ptr<Rank>> ranks_;
-  std::vector<net::Frame> residue_;  ///< rank 0 of a forked run: control frames
+  std::vector<net::Frame> residue_;  ///< rank 0 of a forked run: children's Done frames
   /// First failure's exception object when it was raised in this address
   /// space; written only by the fail() claim winner, read after the join.
   std::exception_ptr first_error_;

@@ -5,9 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "metrics/runtime_metrics.hpp"
-#include "trace/trace.hpp"
-
 namespace fxpar::exec {
 
 const char* backend_kind_name(BackendKind k) noexcept {
@@ -28,22 +25,19 @@ const char* transport_kind_name(TransportKind t) noexcept {
 }
 
 SimBackend::SimBackend(const machine::MachineConfig& config) : config_(config) {
+  const auto p = static_cast<std::size_t>(config_.num_procs);
   sim_ = std::make_unique<runtime::Simulator>(config_.num_procs, config_.stack_bytes);
-  mailboxes_.resize(static_cast<std::size_t>(config_.num_procs));
-  waits_.resize(static_cast<std::size_t>(config_.num_procs));
+  mailboxes_.resize(p);
+  waits_.resize(p);
+  own_words_ = std::make_unique<obs::RankWords[]>(p);
+  words_ = own_words_.get();
   if (config_.record_traffic) {
-    stat_traffic_.assign(static_cast<std::size_t>(config_.num_procs) *
-                             static_cast<std::size_t>(config_.num_procs),
-                         0);
+    own_traffic_ = std::make_unique<std::atomic<std::uint64_t>[]>(p * p);
+    traffic_ = own_traffic_.get();
   }
 }
 
 SimBackend::~SimBackend() = default;
-
-void SimBackend::set_tracer(trace::TraceRecorder* tracer) noexcept {
-  tracer_ = tracer;
-  sim_->set_tracer(tracer);
-}
 
 double SimBackend::now(int rank) const { return sim_->clock(rank).now; }
 
@@ -53,7 +47,7 @@ void SimBackend::charge(double seconds) {
   sim_->advance(seconds);
   // Accumulated modeled compute. All fibers run on the simulator's one OS
   // thread, so the gauge's single-writer contract holds.
-  if (metrics_ && seconds > 0.0) metrics_->modeled_busy_s->add(seconds);
+  sink_->modeled_busy(seconds);
 }
 
 void SimBackend::run(const std::function<void(int)>& body) {
@@ -62,23 +56,15 @@ void SimBackend::run(const std::function<void(int)>& body) {
     // accumulating metrics across programs) get a fresh one, like the
     // threaded backend's reset_run_state(). Modeled clocks restart at zero.
     sim_ = std::make_unique<runtime::Simulator>(config_.num_procs, config_.stack_bytes);
-    sim_->set_tracer(tracer_);
     mailboxes_.assign(static_cast<std::size_t>(config_.num_procs), {});
     waits_.assign(static_cast<std::size_t>(config_.num_procs), {});
     barriers_.clear();
     io_available_ = 0.0;
     io_prev_proc_ = -1;
-    stat_messages_ = 0;
-    stat_bytes_ = 0;
-    stat_barriers_ = 0;
     progress_ = 0;
-    if (config_.record_traffic) {
-      stat_traffic_.assign(static_cast<std::size_t>(config_.num_procs) *
-                               static_cast<std::size_t>(config_.num_procs),
-                           0);
-    }
   }
   ran_ = true;
+  sim_->set_tracer(sink_->tracer());
   for (int r = 0; r < num_procs(); ++r) {
     sim_->spawn(r, [&body, r] { body(r); });
   }
@@ -122,10 +108,6 @@ BackendStats SimBackend::stats() const {
   s.finish_time = sim_->finish_time();
   s.clocks.reserve(static_cast<std::size_t>(num_procs()));
   for (int r = 0; r < num_procs(); ++r) s.clocks.push_back(sim_->clock(r));
-  s.messages = stat_messages_;
-  s.bytes = stat_bytes_;
-  s.barriers = stat_barriers_;
-  s.traffic = stat_traffic_;
   return s;
 }
 
@@ -138,21 +120,15 @@ void SimBackend::deposit(int dst, std::uint64_t tag, Payload data) {
   // Sender-side costs: software overhead plus wire serialization.
   const runtime::SimTime send_start = sim_->now();
   sim_->advance(config_.send_overhead + static_cast<double>(bytes) * config_.byte_time);
-  const runtime::SimTime arrival = sim_->now() + config_.latency;
+  const runtime::SimTime sent = sim_->now();
+  const runtime::SimTime arrival = sent + config_.latency;
 
-  Message msg{std::move(data), arrival, 0};
-  if (tracer_) {
-    msg.trace_id = tracer_->message_sent(src, dst, tag, bytes, send_start, sim_->now());
-  }
+  const std::uint64_t id = sink_->emit({.kind = obs::EventKind::Send, .rank = src, .peer = dst,
+                                        .t0 = send_start, .t1 = sent, .bytes = bytes, .key = tag});
   const MailKey key{src, tag};
-  mailboxes_[static_cast<std::size_t>(dst)][key].push_back(std::move(msg));
-  stat_messages_ += 1;
-  stat_bytes_ += bytes;
+  mailboxes_[static_cast<std::size_t>(dst)][key].push_back(
+      Message{std::move(data), arrival, sent, id});
   progress_ += 1;
-  if (!stat_traffic_.empty()) {
-    stat_traffic_[static_cast<std::size_t>(src) * static_cast<std::size_t>(num_procs()) +
-                  static_cast<std::size_t>(dst)] += bytes;
-  }
 
   WaitState& w = waits_[static_cast<std::size_t>(dst)];
   if (w.waiting && w.key == key && sim_->is_blocked(dst)) {
@@ -176,10 +152,11 @@ Payload SimBackend::receive(int src, std::uint64_t tag) {
       it->second.pop_front();
       if (it->second.empty()) box.erase(it);
       sim_->advance_to(msg.arrival);
-      if (tracer_ && msg.trace_id != 0) {
-        tracer_->message_received(msg.trace_id, recv_entry, sim_->now());
-      }
+      const runtime::SimTime ready = sim_->now();
       sim_->advance(config_.recv_overhead);
+      sink_->emit({.kind = obs::EventKind::Recv, .rank = dst, .peer = src, .t0 = recv_entry,
+                   .t1 = sim_->now(), .ready = ready, .cause_t = msg.sent_at,
+                   .bytes = msg.data.size(), .key = tag, .ref = msg.trace_id});
       progress_ += 1;
       return std::move(msg.data);
     }
@@ -198,22 +175,20 @@ void SimBackend::barrier(const pgroup::ProcessorGroup& group) {
     throw std::logic_error("Machine::barrier: proc " + std::to_string(me) +
                            " is not a member of group " + group.to_string());
   }
-  stat_barriers_ += 1;
   progress_ += 1;
   const int n = group.size();
   const double cost =
       config_.barrier_base +
       config_.barrier_stage * std::ceil(std::log2(static_cast<double>(std::max(n, 2))));
+  const runtime::SimTime entry = sim_->now();
   if (n == 1) {
     sim_->advance(config_.barrier_base);
+    sink_->emit({.kind = obs::EventKind::Barrier, .rank = me, .t0 = entry, .t1 = sim_->now(),
+                 .ready = sim_->now(), .key = group.key()});
     return;
   }
   BarrierState& st = barriers_[group.key()];
   st.size = n;
-  if (tracer_) {
-    if (st.arrived == 0) st.trace_id = tracer_->barrier_open(group.key());
-    tracer_->barrier_arrive(st.trace_id, me, sim_->now());
-  }
   st.arrived += 1;
   // The happens-before cause of the release is the proc with the latest
   // *modeled* arrival, which need not be the fiber that executes last.
@@ -222,15 +197,23 @@ void SimBackend::barrier(const pgroup::ProcessorGroup& group) {
   if (st.arrived < n) {
     st.waiting.push_back(me);
     sim_->block("barrier on group " + group.to_string());
-    return;  // woken by the last arriver with the clock already advanced
+    // Woken by the last arriver with the clock already at the release.
+  } else {
+    // Last arriver: release everyone and reset for the next episode.
+    st.last = Release{st.max_arrival + cost, st.max_arrival, st.last_arriver,
+                      st.last.episode + 1};
+    st.arrived = 0;
+    st.max_arrival = 0.0;
+    st.last_arriver = -1;
+    std::vector<int> waiting = std::move(st.waiting);
+    st.waiting.clear();
+    for (int r : waiting) sim_->wake(r, st.last.at);
+    sim_->advance_to(st.last.at);
   }
-  // Last arriver: release everyone.
-  const runtime::SimTime release = st.max_arrival + cost;
-  if (tracer_) tracer_->barrier_release(st.trace_id, st.last_arriver, st.max_arrival, release);
-  std::vector<int> waiting = std::move(st.waiting);
-  barriers_.erase(group.key());
-  for (int r : waiting) sim_->wake(r, release);
-  sim_->advance_to(release);
+  const Release& rel = st.last;
+  sink_->emit({.kind = obs::EventKind::Barrier, .rank = me, .peer = rel.last_arriver,
+               .t0 = entry, .t1 = rel.at, .ready = rel.at, .cause_t = rel.max_arrival,
+               .key = group.key(), .ref = rel.episode});
 }
 
 void SimBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo,
@@ -252,21 +235,21 @@ void SimBackend::run_chunks(const pgroup::ProcessorGroup& group, std::int64_t lo
 
 void SimBackend::io_operation(std::size_t bytes) {
   progress_ += 1;
+  const int me = sim_->current_rank();
   const double entry = sim_->now();
   const double start = std::max(entry, io_available_);
   const double done = start + config_.io_latency +
                       static_cast<double>(bytes) * config_.io_byte_time;
-  if (tracer_) {
-    const int me = sim_->current_rank();
-    // When queued behind an earlier operation, the happens-before edge
-    // points at its owner; otherwise the stall is the device itself.
-    const bool queued = start > entry && io_prev_proc_ >= 0;
-    tracer_->io_wait(me, entry, done, queued ? io_prev_proc_ : me,
-                     queued ? io_available_ : entry);
-    io_prev_proc_ = me;
-  }
+  // When queued behind an earlier operation, the happens-before edge
+  // points at its owner; otherwise the stall is the device itself.
+  const bool queued = start > entry && io_prev_proc_ >= 0;
+  const obs::Event e{.kind = obs::EventKind::Io, .rank = me,
+                     .peer = queued ? io_prev_proc_ : me, .t0 = entry, .t1 = done,
+                     .ready = done, .cause_t = queued ? io_available_ : entry, .bytes = bytes};
+  io_prev_proc_ = me;
   io_available_ = done;
   sim_->advance_to(done);
+  sink_->emit(e);
 }
 
 }  // namespace fxpar::exec

@@ -17,6 +17,7 @@
 
 #include "exec/backend.hpp"
 #include "machine/config.hpp"
+#include "obs/sink.hpp"
 
 namespace fxpar::exec {
 
@@ -29,7 +30,6 @@ class SimBackend final : public Backend {
   int num_procs() const noexcept override { return config_.num_procs; }
 
   void run(const std::function<void(int)>& body) override;
-  void set_tracer(trace::TraceRecorder* tracer) noexcept override;
   double now(int rank) const override;
   BackendStats stats() const override;
   /// Like the rest of the simulator, NOT thread-safe against a running
@@ -60,35 +60,44 @@ class SimBackend final : public Backend {
   struct Message {
     Payload data;
     runtime::SimTime arrival = 0.0;
-    std::uint64_t trace_id = 0;  ///< TraceRecorder message id (0 = untraced)
+    runtime::SimTime sent_at = 0.0;  ///< deposit complete on the sender (cause edge)
+    std::uint64_t trace_id = 0;      ///< TraceRecorder message id (0 = untraced)
   };
   struct WaitState {
     bool waiting = false;
     MailKey key{};
   };
+  /// How one barrier episode ended: what a woken member reports.
+  struct Release {
+    runtime::SimTime at = 0.0;
+    runtime::SimTime max_arrival = 0.0;
+    int last_arriver = -1;
+    std::uint64_t episode = 0;
+  };
+  /// One group's barrier, kept across episodes.
   struct BarrierState {
     int size = 0;  ///< group size (for occupancy introspection)
     int arrived = 0;
     runtime::SimTime max_arrival = 0.0;
-    int last_arriver = -1;       ///< proc whose modeled arrival is max_arrival
-    std::vector<int> waiting;    ///< physical ranks blocked in this barrier
-    std::uint64_t trace_id = 0;  ///< TraceRecorder barrier id (0 = untraced)
+    int last_arriver = -1;     ///< proc whose modeled arrival is max_arrival
+    std::vector<int> waiting;  ///< physical ranks blocked in this barrier
+    /// The last released episode. A waiter reads it when it resumes; the
+    /// next release cannot overwrite it first, because that needs the
+    /// waiter's own arrival.
+    Release last;
   };
 
   machine::MachineConfig config_;
   std::unique_ptr<runtime::Simulator> sim_;
-  trace::TraceRecorder* tracer_ = nullptr;
   std::vector<std::map<MailKey, std::deque<Message>>> mailboxes_;
   std::vector<WaitState> waits_;
   std::map<std::uint64_t, BarrierState> barriers_;  ///< keyed by group key
   runtime::SimTime io_available_ = 0.0;
-  int io_prev_proc_ = -1;  ///< owner of the last I/O operation (for tracing)
+  int io_prev_proc_ = -1;  ///< owner of the last I/O operation (the io cause)
   bool ran_ = false;       ///< a completed run means reruns need a fresh simulator
 
-  std::uint64_t stat_messages_ = 0;
-  std::uint64_t stat_bytes_ = 0;
-  std::uint64_t stat_barriers_ = 0;
-  std::vector<std::uint64_t> stat_traffic_;  ///< src * P + dst, if recording
+  std::unique_ptr<obs::RankWords[]> own_words_;  ///< Backend::words()
+  std::unique_ptr<std::atomic<std::uint64_t>[]> own_traffic_;  ///< if recording
   /// Service-activity stamp for Backend::progress(). Plain (not atomic):
   /// the simulator runs on one thread and the Machine never polls a sim
   /// run from a watchdog.

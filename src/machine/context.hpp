@@ -10,13 +10,12 @@
 #include <cstdint>
 #include <deque>
 #include <map>
+#include <string_view>
 #include <vector>
 
-#include <string>
-
 #include "machine/machine.hpp"
+#include "obs/sink.hpp"
 #include "pgroup/group.hpp"
-#include "trace/trace.hpp"
 
 namespace fxpar::machine {
 
@@ -80,17 +79,22 @@ class Context {
   /// Blocking operation on the machine's sequential I/O device.
   void io(std::size_t bytes);
 
-  // ---- tracing ----
+  // ---- observability ----
 
-  /// The machine's event recorder, or nullptr when tracing is disabled.
-  /// Call sites that build dynamic span names should test this first to
-  /// keep the disabled path allocation-free.
-  trace::TraceRecorder* tracer() noexcept { return machine_.tracer(); }
+  /// Opens one scope on this processor (obs::Scope): counts and times `op`
+  /// in the metrics registry and opens the span `name` + `suffix` in the
+  /// flight ring and the trace. The span name is built only when one of
+  /// those is on, and an empty `name` opens no span. The returned guard
+  /// closes it all.
+  obs::Scope scope(obs::Op op, const char* category, std::string_view name,
+                   std::string_view suffix = {}) {
+    return obs::Scope(machine_.sink(), phys_, op, category, name, suffix);
+  }
 
-  /// Opens a named span on this processor's timeline; the returned guard
-  /// closes it. Inert (and cheap) when tracing is disabled.
-  trace::ScopedSpan span(std::string name, const char* category);
-  trace::ScopedSpan span(const char* name, const char* category);
+  /// A plain named span: scope(obs::Op::Span, ...).
+  obs::Scope span(std::string_view name, const char* category) {
+    return scope(obs::Op::Span, category, name);
+  }
 
  private:
   Machine& machine_;

@@ -1,5 +1,6 @@
 #include "machine/machine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <sstream>
@@ -41,20 +42,24 @@ Machine::Machine(MachineConfig config) : config_(config) {
       backend_ = std::make_unique<exec::RankRuntime>(config_);
       break;
   }
+  const auto clock = [this](int rank) { return backend_->now(rank); };
   if (config_.trace) {
-    tracer_ = std::make_shared<trace::TraceRecorder>(config_.num_procs);
-    tracer_->set_clock([this](int rank) { return backend_->now(rank); });
-    backend_->set_tracer(tracer_.get());
+    // Busy time on the simulator is exactly the charged seconds; real
+    // clocks pass by themselves.
+    tracer_ = std::make_shared<trace::TraceRecorder>(
+        config_.num_procs, config_.backend == exec::BackendKind::Sim);
+    tracer_->set_clock(clock);
   }
   if (config_.metrics) {
     metrics_ = std::make_unique<metrics::RuntimeMetrics>(config_.num_procs);
-    backend_->set_metrics(metrics_.get());
   }
   if (config_.flight_recorder || config_.obs_port >= 0) {
     flight_ = std::make_unique<obs::FlightRecorder>(
         config_.num_procs, config_.flight_events, config_.flight_window_s);
-    backend_->set_flight(flight_.get());
   }
+  sink_ = std::make_unique<obs::Sink>(config_.num_procs, backend_->words(), backend_->traffic(),
+                                      clock, tracer_.get(), metrics_.get(), flight_.get());
+  backend_->set_sink(sink_.get());
   if (config_.obs_port >= 0) {
     endpoint_ = std::make_unique<obs::Endpoint>();
     endpoint_->handle("/metrics", "text/plain; version=0.0.4", [this] {
@@ -81,13 +86,13 @@ Machine::Machine(MachineConfig config) : config_(config) {
 
 namespace {
 
-/// Shard index for metric updates: the calling processor's rank, or 0 when
-/// invoked outside a processor body (the driver thread).
-int metric_shard(const exec::Backend& backend) noexcept {
+/// The calling processor's rank, or -1 outside a processor body (the
+/// driver thread, which counts as rank 0 and has no pool shard).
+int calling_rank(const exec::Backend& backend) noexcept {
   try {
     return backend.current_rank();
   } catch (...) {
-    return 0;
+    return -1;
   }
 }
 
@@ -116,6 +121,7 @@ RunResult Machine::run(const std::function<void(Context&)>& program) {
     contexts.push_back(std::make_unique<Context>(*this, r));
   }
   if (tracer_) tracer_->reset();
+  sink_->begin_run();
   const auto host_t0 = std::chrono::steady_clock::now();
   run_state_.store(1, std::memory_order_release);
   start_watchdog();
@@ -154,28 +160,26 @@ RunResult Machine::run(const std::function<void(Context&)>& program) {
   }
 
   const exec::BackendStats bs = backend_->stats();
+  obs::Totals tot = sink_->totals();
   RunResult res;
   res.finish_time = bs.finish_time;
   res.clocks = bs.clocks;
-  res.messages = bs.messages;
-  res.bytes = bs.bytes;
-  res.barriers = bs.barriers;
-  res.steals = bs.steals;
-  res.stolen_iters = bs.stolen_iters;
+  res.messages = tot.w[obs::kMessages];
+  res.bytes = tot.w[obs::kBytes];
+  res.barriers = tot.w[obs::kBarriers];
+  res.steals = tot.w[obs::kSteals];
+  res.stolen_iters = tot.w[obs::kStolenIters];
   res.backend = backend_->name();
   res.host_ms = std::chrono::duration<double, std::milli>(host_t1 - host_t0).count();
   res.wait_ms = bs.wait_ms;
-  const auto host = [this](exec::HostCounter c) {
-    return backend_->host_counter(c).load(std::memory_order_relaxed);
-  };
-  res.plan_cache_hits = host(exec::kPlanHits);
-  res.plan_cache_misses = host(exec::kPlanMisses);
-  res.collective_plan_hits = host(exec::kCollectivePlanHits);
-  res.collective_plan_misses = host(exec::kCollectivePlanMisses);
-  res.pool_spills = host(exec::kPoolSpills);
+  res.plan_cache_hits = tot.w[obs::kPlanHits];
+  res.plan_cache_misses = tot.w[obs::kPlanMisses];
+  res.collective_plan_hits = tot.w[obs::kCollectivePlanHits];
+  res.collective_plan_misses = tot.w[obs::kCollectivePlanMisses];
+  res.pool_spills = tot.w[obs::kPoolSpills];
   res.pinning = exec::pin_policy_name(config_.pinning);
   res.numa_nodes = bs.numa_nodes;
-  res.traffic = bs.traffic;
+  res.traffic = std::move(tot.traffic);
   if (tracer_) {
     tracer_->finalize(res.finish_time);
     res.trace = tracer_;
@@ -185,66 +189,6 @@ RunResult Machine::run(const std::function<void(Context&)>& program) {
         std::make_shared<const metrics::Snapshot>(metrics_->registry.snapshot());
   }
   return res;
-}
-
-void Machine::deposit(int src, int dst, std::uint64_t tag, Payload data) {
-  // `src` is always the calling processor (the backend derives it too), so
-  // it doubles as the metric shard index.
-  if (metrics_) {
-    metrics_->messages->add(src);
-    metrics_->message_bytes->add(src, data.size());
-  }
-  if (flight_) {
-    flight_->record(src, obs::FlightKind::Message, backend_->now(src), "send",
-                    static_cast<std::uint64_t>(dst), tag);
-  }
-  backend_->deposit(dst, tag, std::move(data));
-}
-
-Payload Machine::receive(int dst, int src, std::uint64_t tag) {
-  // `dst` is always the calling processor; the backend derives it.
-  if (!metrics_ && !flight_) return backend_->receive(src, tag);
-  const double t0 = backend_->now(dst);
-  Payload p = backend_->receive(src, tag);
-  // Modeled wait on the simulator, real blocked seconds on threads.
-  if (metrics_) metrics_->recv_wait_s->observe(dst, backend_->now(dst) - t0);
-  if (flight_) {
-    flight_->record(dst, obs::FlightKind::Recv, backend_->now(dst), "recv",
-                    static_cast<std::uint64_t>(src), tag);
-  }
-  return p;
-}
-
-void Machine::barrier(const pgroup::ProcessorGroup& group) {
-  if (!metrics_ && !flight_) {
-    backend_->barrier(group);
-    return;
-  }
-  const int rank = metric_shard(*backend_);
-  const double t0 = backend_->now(rank);
-  backend_->barrier(group);
-  if (metrics_) {
-    metrics_->barriers->add(rank);
-    metrics_->barrier_wait_s->observe(rank, backend_->now(rank) - t0);
-  }
-  if (flight_) {
-    flight_->record(rank, obs::FlightKind::Barrier, backend_->now(rank),
-                    "barrier", group.key(), 0);
-  }
-}
-
-void Machine::io_operation(std::size_t bytes) {
-  if (!metrics_ && !flight_) {
-    backend_->io_operation(bytes);
-    return;
-  }
-  const int rank = metric_shard(*backend_);
-  if (metrics_) metrics_->io_ops->add(rank);
-  backend_->io_operation(bytes);
-  if (flight_) {
-    flight_->record(rank, obs::FlightKind::Io, backend_->now(rank), "io",
-                    static_cast<std::uint64_t>(bytes), 0);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -403,23 +347,13 @@ std::shared_ptr<const void> Machine::plan_entry(
     table.emplace(std::move(key), sched);
   }
 
-  // Redistribution and halo count in the dist family, the collectives in
-  // the comm family; the trace does not tell them apart.
+  // Counted under the lock, so the driver thread (which counts as rank 0)
+  // never races rank 0's worker on its words.
   const bool collective = kind == PlanKind::Tree || kind == PlanKind::Rooted;
-  const exec::HostCounter counter =
-      collective ? (hit ? exec::kCollectivePlanHits : exec::kCollectivePlanMisses)
-                 : (hit ? exec::kPlanHits : exec::kPlanMisses);
-  backend_->host_counter(counter).fetch_add(1, std::memory_order_relaxed);
-  if (metrics_ || tracer_) {
-    const int rank = metric_shard(*backend_);
-    if (metrics_) {
-      metrics::Counter* c =
-          collective ? (hit ? metrics_->collective_plan_hits : metrics_->collective_plan_misses)
-                     : (hit ? metrics_->plan_hits : metrics_->plan_misses);
-      c->add(rank);
-    }
-    if (tracer_) tracer_->plan_cache_event(rank, hit);
-  }
+  sink_->emit({.kind = obs::EventKind::PlanLookup,
+               .rank = std::max(0, calling_rank(*backend_)),
+               .key = collective ? 1u : 0u,
+               .ref = hit ? 1u : 0u});
   return sched;
 }
 
@@ -431,25 +365,11 @@ std::size_t Machine::plan_entries(PlanKind kind) const {
 // ---------------------------------------------------------------------------
 // Buffer pools
 
-namespace {
-
-/// Pool shard of the calling processor, or -1 from the driver thread
-/// (which has no shard and goes straight to the shared spill list).
-int pool_shard_rank(const exec::Backend& backend) noexcept {
-  try {
-    return backend.current_rank();
-  } catch (...) {
-    return -1;
-  }
-}
-
-}  // namespace
-
 template <class T>
 std::vector<T> Machine::pool_acquire(std::size_t n) {
   BufferPool<T>& pool = std::get<BufferPool<T>>(pools_);
   std::vector<T> v;
-  const int rank = pool_shard_rank(*backend_);
+  const int rank = calling_rank(*backend_);
   if (rank >= 0) {
     auto& shard = pool.shards[static_cast<std::size_t>(rank)].bufs;
     if (!shard.empty()) {
@@ -475,7 +395,7 @@ template <class T>
 void Machine::pool_release(std::vector<T>&& v) {
   if (v.capacity() == 0 || !keeps_plans()) return;
   BufferPool<T>& pool = std::get<BufferPool<T>>(pools_);
-  const int rank = pool_shard_rank(*backend_);
+  const int rank = calling_rank(*backend_);
   if (rank >= 0) {
     auto& shard = pool.shards[static_cast<std::size_t>(rank)].bufs;
     if (shard.size() < kMaxShardBuffers) {
@@ -484,8 +404,7 @@ void Machine::pool_release(std::vector<T>&& v) {
     }
     // Shard full: spill to the shared list so senders elsewhere can
     // reacquire the allocation (buffers migrate sender -> receiver).
-    backend_->host_counter(exec::kPoolSpills).fetch_add(1, std::memory_order_relaxed);
-    if (metrics_) metrics_->pool_spills->add(rank);
+    sink_->pool_spill(rank);
   }
   std::lock_guard<std::mutex> lk(pool.mu);
   if (pool.spill.size() < kMaxSpilledBuffers) pool.spill.push_back(std::move(v));

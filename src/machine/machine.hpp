@@ -4,8 +4,9 @@
 // deterministic discrete-event simulator, or the rank runtime running one
 // OS thread or one forked process per logical processor, selected by
 // MachineConfig::backend — plus everything that is backend-independent:
-// the trace recorder, the plan store of inspector-built schedules, the
-// payload buffer pools and the per-run statistics. It launches an SPMD
+// the observability consumers and the one event sink that feeds them
+// (obs/sink.hpp), the plan store of inspector-built schedules, the payload
+// buffer pools and the per-run statistics. It launches an SPMD
 // program body on every logical processor. User code never touches
 // Machine directly while running; it receives a Context (see context.hpp).
 #pragma once
@@ -29,6 +30,7 @@
 #include "metrics/runtime_metrics.hpp"
 #include "obs/endpoint.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/sink.hpp"
 #include "pgroup/group.hpp"
 #include "runtime/simulator.hpp"
 #include "trace/trace.hpp"
@@ -142,23 +144,7 @@ class Machine {
   /// The Context passed to each instance is private to that processor.
   RunResult run(const std::function<void(Context&)>& program);
 
-  // ---- internal services used by Context (public for the comm layer) ----
-
-  /// Deposits a message from physical `src` (which must be the calling
-  /// processor) into the mailbox of physical `dst`.
-  void deposit(int src, int dst, std::uint64_t tag, Payload data);
-
-  /// Receives the next message from (`src`, `tag`); blocks until available.
-  /// `dst` must be the calling processor.
-  Payload receive(int dst, int src, std::uint64_t tag);
-
-  /// Subset barrier over `group`; the calling processor must be a member.
-  /// Matched across members by content (group key) and per-group epoch.
-  void barrier(const pgroup::ProcessorGroup& group);
-
-  /// Sequential I/O device: performs an operation of `bytes` bytes for the
-  /// current processor; operations from all processors serialize.
-  void io_operation(std::size_t bytes);
+  // ---- internal services used by Context ----
 
   /// The execution engine behind this machine.
   exec::Backend& backend() noexcept { return *backend_; }
@@ -168,11 +154,15 @@ class Machine {
   /// and proc — code that needs modeled time must run on `sim`.
   runtime::Simulator& sim();
 
+  /// The event sink every service site and scope reports to.
+  obs::Sink& sink() noexcept { return *sink_; }
+
   /// The event recorder, or nullptr when MachineConfig::trace is off.
   trace::TraceRecorder* tracer() noexcept { return tracer_.get(); }
 
   /// The always-on metric set, or nullptr when MachineConfig::metrics is
-  /// off. Instrumentation sites hold this pointer and test for null.
+  /// off. Application-level counters hold this pointer and test for null;
+  /// runtime service sites report through sink().
   metrics::RuntimeMetrics* metrics() noexcept { return metrics_.get(); }
   const metrics::RuntimeMetrics* metrics() const noexcept { return metrics_.get(); }
 
@@ -285,9 +275,7 @@ class Machine {
 
   /// Releases that overflowed a worker shard onto the shared spill list
   /// (cumulative; also exported as fxpar_machine_pool_spills_total).
-  std::uint64_t pool_spill_count() const noexcept {
-    return backend_->host_counter(exec::kPoolSpills).load(std::memory_order_relaxed);
-  }
+  std::uint64_t pool_spill_count() const { return sink_->totals().w[obs::kPoolSpills]; }
 
  private:
   /// The spent buffers of one element type.
@@ -329,6 +317,7 @@ class Machine {
   std::shared_ptr<trace::TraceRecorder> tracer_;
   std::unique_ptr<metrics::RuntimeMetrics> metrics_;
   std::unique_ptr<obs::FlightRecorder> flight_;
+  std::unique_ptr<obs::Sink> sink_;  ///< feeds the three above and the RunResult words
 
   /// Run lifecycle for /healthz and for gating live sim introspection:
   /// 0 idle (never ran), 1 running, 2 done, 3 failed.

@@ -1,5 +1,6 @@
-// fxpar: bounds-checked byte codec for the residue blobs a forked rank ships
-// to rank 0 — metrics deltas (metrics.hpp) and trace shards (trace.hpp).
+// fxpar: bounds-checked byte codec for the residue blob a forked rank ships
+// to rank 0 (obs/sink.hpp) and its metrics-delta and trace-shard sections
+// (metrics.hpp, trace.hpp).
 // Both ends run the same binary image, so values travel in native
 // encoding. Every read is checked against the bytes that remain, and every
 // length field is checked before anything is sized from it, so a short or

@@ -28,17 +28,15 @@
 
 namespace fxpar::net {
 
-/// What a frame carries. Data frames are direct-deposit messages; the
-/// control kinds are shipped by a finishing child to rank 0 (its stats
-/// already sit in shared memory; these carry the variable-size residue:
-/// metric deltas, trace shards, flight-recorder events, then Done last —
-/// per-source ordering guarantees rank 0 has everything once it sees Done).
+/// What a frame carries. Data frames are direct-deposit messages. Done is
+/// the last frame a finishing child sends to rank 0; its payload is the
+/// child's residue (obs::Sink::residue: metrics delta, trace shard and
+/// flight-recorder tail in one blob — its counters already sit in shared
+/// memory). Per-source ordering guarantees rank 0 has every frame of the
+/// child once it sees the Done.
 enum class FrameKind : std::uint32_t {
-  Data = 0,     ///< direct-deposit message payload
-  Metrics = 1,  ///< serialized metrics delta (child -> rank 0)
-  Trace = 2,    ///< serialized trace shard (child -> rank 0)
-  Flight = 3,   ///< serialized flight-recorder events (child -> rank 0)
-  Done = 4,     ///< child finished; no further frames follow
+  Data = 0,  ///< direct-deposit message payload
+  Done = 1,  ///< child finished, carrying its residue; no further frames follow
 };
 
 /// One frame, as handed to Channel::send() and back out of drain().

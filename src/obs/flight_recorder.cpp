@@ -145,16 +145,14 @@ std::string FlightRecorder::events_json(const std::vector<FlightEvent>& events,
   return os.str();
 }
 
-std::vector<FlightEvent> FlightRecorder::ring_events(int proc) const {
+std::vector<FlightEvent> FlightRecorder::ring_events_since(int proc, std::uint64_t since) const {
   std::vector<FlightEvent> out;
   if (proc < 0 || static_cast<std::size_t>(proc) >= rings_.size()) return out;
   const Ring& r = *rings_[static_cast<std::size_t>(proc)];
   std::lock_guard<std::mutex> lk(r.mu);
-  const std::uint64_t live = std::min<std::uint64_t>(r.total, cap_);
-  out.reserve(static_cast<std::size_t>(live));
-  for (std::uint64_t i = 0; i < live; ++i) {
-    out.push_back(r.buf[static_cast<std::size_t>((r.total - live + i) % cap_)]);
-  }
+  // Survivors are the last min(total, cap) events; the wrap overwrote the rest.
+  const std::uint64_t first = std::max(since, r.total - std::min<std::uint64_t>(r.total, cap_));
+  for (std::uint64_t i = first; i < r.total; ++i) out.push_back(r.buf[static_cast<std::size_t>(i % cap_)]);
   return out;
 }
 

@@ -9,11 +9,10 @@
 // (chrome://tracing / Perfetto "instant" events) or a flat JSON array for
 // the diagnostic bundles.
 //
-// Concurrency: one mutex per worker ring. Writers (the worker itself, or
-// the Machine service running on its behalf) contend only with dump
-// requests, never with each other, so the hot-path cost is an uncontended
-// lock plus a 56-byte copy. When the recorder is disabled, callers pay a
-// single null-pointer test (see exec::Backend::flight()).
+// Concurrency: one mutex per worker ring. Writers (the worker itself, via
+// the Machine's obs::Sink) contend only with dump requests, never with each
+// other, so the hot-path cost is an uncontended lock plus a 56-byte copy.
+// When the recorder is disabled, the sink pays a single null-pointer test.
 #pragma once
 
 #include <cstdint>
@@ -80,14 +79,12 @@ class FlightRecorder {
   std::uint64_t total_recorded() const;
   std::uint64_t dropped() const;
 
-  /// Surviving events of one ring, oldest first, with no window filter;
-  /// out-of-range procs get an empty vector. Together with ring_total()
-  /// this lets the proc backend ship a forked child's post-fork events to
-  /// the parent: the child replays the last `ring_total() - fork_total`
-  /// survivors through the parent's record().
-  std::vector<FlightEvent> ring_events(int proc) const;
   /// Events ever recorded on `proc`'s ring (0 for out-of-range procs).
   std::uint64_t ring_total(int proc) const;
+  /// The surviving events of `proc`'s ring recorded after its first
+  /// `since` events, oldest first, with no window filter (a forked rank's
+  /// post-fork tail, or with 0 the whole unwrapped ring).
+  std::vector<FlightEvent> ring_events_since(int proc, std::uint64_t since) const;
 
  private:
   struct alignas(64) Ring {

@@ -111,7 +111,6 @@ class Simulator {
   /// Installs (or clears, with nullptr) a trace recorder that observes
   /// every advance(); the recorder never alters modeled time.
   void set_tracer(trace::TraceRecorder* tracer) noexcept { tracer_ = tracer; }
-  trace::TraceRecorder* tracer() const noexcept { return tracer_; }
 
  private:
   struct Proc {

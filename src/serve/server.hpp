@@ -337,11 +337,8 @@ ServeReport serve_streams(machine::Machine& machine,
     if (remapped) {
       report.remaps = policy.remaps();
       if (c_remaps) c_remaps->add(0);
-      if (machine.flight()) {
-        machine.flight()->record(0, obs::FlightKind::Mark, t, "serve.remap",
-                                 static_cast<std::uint64_t>(epoch),
-                                 static_cast<std::uint64_t>(report.remaps));
-      }
+      machine.sink().mark(0, t, "serve.remap", static_cast<std::uint64_t>(epoch),
+                          static_cast<std::uint64_t>(report.remaps));
     }
 
     // Take the batch.

@@ -2,12 +2,13 @@
 // runs.
 //
 // The TraceRecorder is the substrate of the observability stack: every
-// layer of the runtime reports what it is doing in modeled time — the
-// Simulator charges busy intervals, the Machine records message, barrier
-// and I/O waits (each with the happens-before edge that ended it), and the
-// directive layer (TASK_REGION / ON / parallel loops / redistribution /
-// collectives) opens named scoped spans so all of it is attributed to the
-// directive nest that caused it. Consumers are chrome_export.hpp (Perfetto
+// layer of the runtime reports what it is doing on the backend clock — the
+// Simulator charges busy intervals, the backends' service events (through
+// obs::Sink, obs/sink.hpp) record message, barrier and I/O waits (each with
+// the happens-before edge that ended it), and the directive layer
+// (TASK_REGION / ON / parallel loops / redistribution / collectives) opens
+// named scopes so all of it is attributed to the directive nest that
+// caused it. Consumers are chrome_export.hpp (Perfetto
 // timelines), phase_report.hpp (per-span busy/wait/comm aggregates) and
 // critical_path.hpp (longest happens-before chain).
 //
@@ -70,12 +71,12 @@ struct Wait {
   double t1 = 0.0;
   int cause_proc = -1;
   double cause_time = 0.0;
-  std::uint64_t ref = 0;  ///< message id / barrier id (1-based; 0 = none)
+  std::uint64_t ref = 0;  ///< message id of a recv wait (0 otherwise)
 };
 
 /// One point-to-point message (direct deposit).
 struct MessageRecord {
-  std::uint64_t id = 0;  ///< 1-based
+  std::uint64_t id = 0;  ///< nonzero; see TraceRecorder::message_sent
   int src = -1;
   int dst = -1;
   std::uint64_t tag = 0;
@@ -131,7 +132,11 @@ class TraceRecorder {
   /// recorder never advances any clock.
   using Clock = std::function<double(int)>;
 
-  explicit TraceRecorder(int num_procs);
+  /// `charged_busy` selects where busy time comes from: add_busy() calls
+  /// (the simulator, whose compute is exactly the seconds it charges), or,
+  /// when false, each span's elapsed time minus the waits recorded while it
+  /// was open (real clocks, which pass by themselves).
+  explicit TraceRecorder(int num_procs, bool charged_busy = true);
 
   int num_procs() const noexcept { return static_cast<int>(open_.size()); }
   void set_clock(Clock clock) { clock_ = std::move(clock); }
@@ -140,34 +145,40 @@ class TraceRecorder {
   /// keeps the clock. Called at the start of every Machine::run.
   void reset();
 
-  // ---- spans ----
+  // ---- recording ----
+  //
+  // Every hook records into the shard of the rank it names and touches no
+  // other rank's state, so each rank's worker records without locks; a
+  // hook for rank r is called only from rank r's worker. finalize() folds
+  // the shards into the merged streams below in a deterministic order.
 
   void begin_span(int proc, std::string name, std::string category);
   void end_span(int proc);
   int open_depth(int proc) const;
 
-  // ---- accounting hooks (the Simulator / Machine call these) ----
-
-  /// Modeled compute charged to `proc` (Simulator::advance).
+  /// Modeled compute charged to `proc` (Simulator::advance); counts only
+  /// with charged_busy.
   void add_busy(int proc, double dt);
 
   /// Deposit of `bytes` from `src` to `dst`; [t0, t1] is the sender-side
-  /// send interval. Returns the message id to stash with the message.
+  /// send interval. Returns the message id to stash with the message:
+  /// ((src+1) << 40) | sequence, so a sender mints it without coordination.
   std::uint64_t message_sent(int src, int dst, std::uint64_t tag, std::uint64_t bytes,
                              double t0, double t1);
 
-  /// Message `id` consumed by its receiver: the receiver entered the
-  /// receive at `wait_t0` and the payload was available at `ready_t`.
-  void message_received(std::uint64_t id, double wait_t0, double ready_t);
+  /// Message `id` consumed by rank `dst`: it was sent by `src`, which
+  /// finished depositing at `send_t`; the receiver entered the receive at
+  /// `wait_t0` and the payload was available at `ready_t`.
+  void message_received(std::uint64_t id, int dst, int src, double send_t, double wait_t0,
+                        double ready_t);
 
-  /// New barrier instance over the group hashed by `group_key`.
-  std::uint64_t barrier_open(std::uint64_t group_key);
-  void barrier_arrive(std::uint64_t id, int proc, double t);
-
-  /// All members arrived; everyone is released at `release`. Emits one
-  /// BarrierWait interval per member.
-  void barrier_release(std::uint64_t id, int last_arriver, double max_arrival,
-                       double release);
+  /// One member's view of one barrier episode, reported after its release.
+  /// Records of the same (group_key, episode) merge into one
+  /// BarrierRecord; `last_arriver`/`max_arrival` name the member whose
+  /// arrival released the episode.
+  void barrier_record(std::uint64_t group_key, std::uint64_t episode, int proc,
+                      double arrive_t, double release_t, int last_arriver,
+                      double max_arrival);
 
   /// `proc` was stalled on the sequential I/O device over [t0, t1]; if it
   /// queued behind another operation, `cause_proc`/`cause_time` name the
@@ -175,85 +186,43 @@ class TraceRecorder {
   void io_wait(int proc, double t0, double t1, int cause_proc, double cause_time);
 
   /// `thief` completed a stolen chunk of `iters` iterations owned by
-  /// `victim` at time `t`. In concurrent mode the record lands in the
-  /// thief's shard (call only from the thief's worker) and is merged by
-  /// time like the other streams. Also bumps the steal counters of the
-  /// thief's open spans, so phase reports can localize stealing.
+  /// `victim` at time `t`. Also bumps the steal counters of the thief's
+  /// open spans, so phase reports can localize stealing.
   void steal_event(int thief, int victim, std::uint64_t iters, double t);
 
-  /// Redistribution plan-cache hit (or miss) observed by `proc`: bumps the
-  /// counters of `proc`'s open spans. Safe in concurrent mode — each
-  /// worker only touches its own rank's span stack. Call only from the
-  /// observing rank's worker.
+  /// Plan-store hit (or miss) observed by `proc`: bumps the counters of
+  /// `proc`'s open spans.
   void plan_cache_event(int proc, bool hit);
 
   /// Worker `proc` was pinned to host CPU `cpu` on NUMA node `node` for
-  /// this run (threaded backend, pinning active). Each rank writes only
-  /// its own slot, so this is safe from worker threads without locks.
+  /// this run (threaded backend, pinning active).
   void set_worker_placement(int proc, int cpu, int node) {
     auto& pl = placements_[static_cast<std::size_t>(proc)];
     pl.cpu = cpu;
     pl.node = node;
   }
 
-  // ---- concurrent recording (threaded backend) ----
-  //
-  // The hooks above assume one OS thread: they append to shared vectors.
-  // The threaded backend instead calls set_concurrent() at the start of a
-  // run, which re-routes every append into a per-worker shard — each hook
-  // then touches only the calling rank's buffers, so worker threads record
-  // without locks — and merge_concurrent() after the join, which folds the
-  // shards back into the shared vectors in a deterministic order. The two
-  // concurrent-only hooks below carry the cause data (sender, send time,
-  // barrier episode) that the single-threaded hooks look up in shared
-  // records instead. Nothing calls add_busy in concurrent mode (there is no
-  // modeled charge()); end_span instead stamps each span's busy as its real
-  // elapsed time minus the waits recorded while it was open.
-
-  /// Enters concurrent mode and clears the per-worker shards.
-  /// `num_procs` must match the recorder's processor count.
-  void set_concurrent(int num_procs);
-
-  /// Message `id` consumed by rank `dst`: it was sent by `src` at `send_t`,
-  /// the receiver entered the receive at `wait_t0` and the payload was
-  /// available at `ready_t`. Concurrent-mode counterpart of
-  /// message_received(); call only from rank `dst`'s worker.
-  void message_received_at(std::uint64_t id, int dst, int src, double send_t,
-                           double wait_t0, double ready_t);
-
-  /// One member's view of one barrier episode, reported after its release.
-  /// Records of the same (group_key, episode) merge into one
-  /// BarrierRecord; `last_arriver`/`max_arrival` are the values the
-  /// episode's root published. Call only from rank `proc`'s worker.
-  void barrier_record(std::uint64_t group_key, std::uint64_t episode, int proc,
-                      double arrive_t, double release_t, int last_arriver,
-                      double max_arrival);
-
-  /// Folds the per-worker shards into the shared vectors and leaves
-  /// concurrent mode. Call after every worker has joined.
-  void merge_concurrent();
-
   // ---- cross-process shard shipping (proc backend) ----
   //
   // A forked child records into its copy-on-write shards exactly as a
-  // worker thread would; at body end it serializes its rank's shard state
-  // (the six shard vectors plus its per-proc totals, placement and
-  // last-activity stamp) and ships the bytes to the parent, which absorbs
-  // them before merge_concurrent(). Absorbing *assigns* the rank's shards
-  // — correct because in a proc run only the owning process records for
-  // that rank — so both calls are legal only in concurrent mode.
+  // worker thread would; at body end it serializes its rank's shard (plus
+  // its per-proc totals, placement and last-activity stamp) and ships the
+  // bytes to the parent, which absorbs them before finalize(). Absorbing
+  // *assigns* the rank's shard — correct because in a proc run only the
+  // owning process records for that rank.
 
-  /// Serializes rank `proc`'s concurrent-mode shard state.
+  /// Serializes rank `proc`'s shard.
   std::vector<std::byte> serialize_shard(int proc) const;
   /// Installs a shard blob produced by serialize_shard() in a (forked)
   /// copy of this recorder; the rank is read from the blob.
   void absorb_shard(const std::byte* data, std::size_t len);
 
-  /// Closes any still-open spans at `finish` and freezes the run's
-  /// completion time.
+  /// Merges every rank's shard into the streams below, closes any
+  /// still-open spans at `finish` and freezes the run's completion time.
+  /// Call after every worker has finished.
   void finalize(double finish);
 
-  // ---- recorded data (for exporters and analyzers) ----
+  // ---- recorded data (for exporters and analyzers; after finalize) ----
 
   const std::vector<Span>& spans() const noexcept { return done_; }
   const std::vector<Wait>& waits() const noexcept { return waits_; }
@@ -284,67 +253,37 @@ class TraceRecorder {
     double release_t = 0.0;
     int last_arriver = -1;
   };
+  /// What one rank recorded, appended only by that rank.
+  struct Shard {
+    std::vector<Span> done;
+    std::vector<Wait> waits;
+    std::vector<MessageRecord> messages;
+    std::vector<RecvNote> recvs;
+    std::vector<BarrierNote> barriers;
+    std::vector<StealRecord> steals;
+  };
 
   double now(int proc) const;
+  void check_proc(int proc, const char* what) const;
   void add_wait(int proc, WaitKind kind, double t0, double t1, int cause_proc,
                 double cause_time, std::uint64_t ref);
   void touch(int proc, double t);
 
   Clock clock_;
+  bool charged_busy_;
   std::vector<std::vector<Span>> open_;  ///< per-proc stack of open spans
+  std::vector<Shard> shards_;            ///< per-proc
+  std::vector<PlacementRecord> placements_;  ///< per-proc
+  std::vector<ProcTotals> totals_;           ///< per-proc
+  std::vector<double> last_activity_;  ///< per-proc time of the last event
+
+  // Merged streams, built by finalize().
   std::vector<Span> done_;
   std::vector<Wait> waits_;
   std::vector<MessageRecord> messages_;
   std::vector<BarrierRecord> barriers_;
   std::vector<StealRecord> steals_;
-  std::vector<PlacementRecord> placements_;  ///< per-proc; each rank writes its own slot
-  std::vector<ProcTotals> totals_;
-  std::vector<double> last_activity_;  ///< per-proc time of the last event
   double finish_ = 0.0;
-
-  // Concurrent-mode shards, indexed by the recording rank. Message ids in
-  // concurrent mode are composite — ((src+1) << 40) | local index — so a
-  // sender can mint them without coordination.
-  bool concurrent_ = false;
-  std::vector<std::vector<Span>> done_pp_;
-  std::vector<std::vector<Wait>> waits_pp_;
-  std::vector<std::vector<MessageRecord>> msgs_pp_;
-  std::vector<std::vector<RecvNote>> recv_pp_;
-  std::vector<std::vector<BarrierNote>> bnotes_pp_;
-  std::vector<std::vector<StealRecord>> steals_pp_;
-};
-
-/// RAII closer for a span opened through Context::span(). Inert when
-/// default-constructed (tracing disabled).
-class ScopedSpan {
- public:
-  ScopedSpan() = default;
-  ScopedSpan(TraceRecorder* rec, int proc) : rec_(rec), proc_(proc) {}
-  ScopedSpan(ScopedSpan&& o) noexcept : rec_(o.rec_), proc_(o.proc_) { o.rec_ = nullptr; }
-  ScopedSpan& operator=(ScopedSpan&& o) noexcept {
-    if (this != &o) {
-      close();
-      rec_ = o.rec_;
-      proc_ = o.proc_;
-      o.rec_ = nullptr;
-    }
-    return *this;
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan() { close(); }
-
-  /// Ends the span now (idempotent; destruction does the same).
-  void close() {
-    if (rec_) {
-      rec_->end_span(proc_);
-      rec_ = nullptr;
-    }
-  }
-
- private:
-  TraceRecorder* rec_ = nullptr;
-  int proc_ = -1;
 };
 
 }  // namespace fxpar::trace

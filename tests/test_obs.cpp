@@ -4,7 +4,9 @@
 // threaded run), structured diagnostic bundles on deadlock and abort for
 // both backends, the stall watchdog, the grid-aligned metrics sampler, and
 // the utilization-report lines for the collective-plan cache and payload
-// pool.
+// pool, and the one event stream: every sink agrees per event kind on
+// every backend, directive spans reach the flight ring untraced, and a
+// forked rank's residue blob survives truncation.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -15,12 +17,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <map>
+#include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "apps/stream_pipeline.hpp"
+#include "core/fx.hpp"
 #include "json_checker.hpp"
 #include "machine/context.hpp"
 #include "machine/machine.hpp"
@@ -28,6 +35,7 @@
 #include "obs/diagnostics.hpp"
 #include "obs/endpoint.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/sink.hpp"
 #include "runtime/simulator.hpp"
 
 #if defined(__SANITIZE_THREAD__)
@@ -430,4 +438,219 @@ TEST(Config, ValidateRejectsBadObservabilityKnobs) {
   bad([](MachineConfig& c) { c.flight_events = 4; });
   bad([](MachineConfig& c) { c.flight_window_s = 0.0; });
   bad([](MachineConfig& c) { c.stall_watchdog_s = -1.0; });
+}
+
+// ---------------------------------------------------------------------------
+// One event stream: every service site emits one obs::Event into the
+// Machine's sink, which feeds RunResult, the registry, the flight ring and
+// the trace.
+
+namespace {
+
+/// Sends, receives, full-group barriers, io, an imbalanced loop (rank 0's
+/// block is slow, so idle siblings steal on threads), an assign and an
+/// allreduce. Every group has 4 members, so every barrier is traced.
+mx::RunResult run_event_program(mx::Machine& m) {
+  namespace ds = fxpar::dist;
+  return m.run([](mx::Context& ctx) {
+    const int p = ctx.nprocs();
+    const int me = ctx.phys_rank();
+    ctx.send_phys((me + 1) % p, 5, mx::Payload(64));
+    (void)ctx.recv_phys((me + p - 1) % p, 5);
+    ctx.barrier();
+    ctx.io(32);
+    fxpar::core::parallel_for(ctx, 0, 64, [](std::int64_t i) {
+      if (i < 16) std::this_thread::sleep_for(std::chrono::microseconds(200));
+    });
+    ds::DistArray<double> a(ctx, ds::Layout(ctx.group(), {32}, {ds::DimDist::block()}), "a");
+    ds::DistArray<double> b(ctx, ds::Layout(ctx.group(), {32}, {ds::DimDist::cyclic()}), "b");
+    a.fill_value(1.0);
+    ds::assign(ctx, b, a);
+    (void)fxpar::comm::allreduce(ctx, ctx.group(), 1.0, std::plus<double>());
+    ctx.barrier();
+  });
+}
+
+void expect_agreeing_sinks(ex::BackendKind kind) {
+  auto cfg = MachineConfig::ideal(4);
+  cfg.backend = kind;
+  cfg.trace = true;
+  cfg.metrics = true;
+  cfg.flight_recorder = true;
+  cfg.work_stealing = true;
+  mx::Machine m(cfg);
+  const mx::RunResult res = run_event_program(m);
+  const std::string leg = ex::backend_kind_name(kind);
+  ASSERT_NE(res.trace, nullptr);
+  ASSERT_NE(res.metrics, nullptr);
+
+  // The flight rings, unwrapped: nothing may have been overwritten.
+  const obs::FlightRecorder& fr = *m.flight();
+  ASSERT_EQ(fr.dropped(), 0u) << leg;
+  std::map<obs::FlightKind, std::uint64_t> flight;
+  for (int r = 0; r < fr.procs(); ++r) {
+    for (const obs::FlightEvent& e : fr.ring_events_since(r, 0)) ++flight[e.kind];
+  }
+
+  const fxpar::trace::TraceRecorder& tr = *res.trace;
+  std::uint64_t tr_recvs = 0;
+  for (const auto& msg : tr.messages()) tr_recvs += msg.recv_t >= 0.0 ? 1 : 0;
+  std::uint64_t tr_barriers = 0;
+  for (const auto& b : tr.barriers()) tr_barriers += b.procs.size();
+  std::uint64_t tr_io = 0;
+  for (const auto& w : tr.waits()) tr_io += w.kind == fxpar::trace::WaitKind::Io ? 1 : 0;
+  std::uint64_t tr_plans = 0;
+  for (const auto& s : tr.spans()) tr_plans += s.depth == 0 ? s.plan_hits + s.plan_misses : 0;
+
+  const fxpar::metrics::Snapshot& reg = *res.metrics;
+  const auto hist_count = [&reg](const char* name) {
+    auto it = reg.histograms.find(name);
+    return it == reg.histograms.end() ? std::uint64_t{0} : it->second.count;
+  };
+
+  // Send: RunResult, registry, flight, trace.
+  EXPECT_GT(res.messages, 0u) << leg;
+  EXPECT_EQ(reg.counter("fxpar_comm_messages_total"), res.messages) << leg;
+  EXPECT_EQ(flight[obs::FlightKind::Message], res.messages) << leg;
+  EXPECT_EQ(tr.messages().size(), res.messages) << leg;
+  // Receive: every message of the program is consumed.
+  EXPECT_EQ(hist_count("fxpar_comm_recv_wait_seconds"), res.messages) << leg;
+  EXPECT_EQ(flight[obs::FlightKind::Recv], res.messages) << leg;
+  EXPECT_EQ(tr_recvs, res.messages) << leg;
+  // Barrier.
+  EXPECT_GE(res.barriers, 8u) << leg;
+  EXPECT_EQ(reg.counter("fxpar_sync_barriers_total"), res.barriers) << leg;
+  EXPECT_EQ(flight[obs::FlightKind::Barrier], res.barriers) << leg;
+  EXPECT_EQ(tr_barriers, res.barriers) << leg;
+  // Io: the trace records the blocked part of an operation, which on a
+  // real clock exists only when the device was busy; the simulator's
+  // device latency blocks every operation.
+  EXPECT_EQ(reg.counter("fxpar_io_operations_total"), 4u) << leg;
+  EXPECT_EQ(flight[obs::FlightKind::Io], 4u) << leg;
+  if (kind == ex::BackendKind::Sim) {
+    EXPECT_EQ(tr_io, 4u) << leg;
+  }
+  // Steal (zero on sim and proc, which run the static schedule).
+  EXPECT_EQ(reg.counter("fxpar_exec_steals_total"), res.steals) << leg;
+  EXPECT_EQ(reg.counter("fxpar_exec_stolen_iters_total"), res.stolen_iters) << leg;
+  EXPECT_EQ(flight[obs::FlightKind::Steal], res.steals) << leg;
+  EXPECT_EQ(tr.steals().size(), res.steals) << leg;
+  // Plan lookup: the assign's redistribution and the allreduce's tree.
+  const std::uint64_t plans = res.plan_cache_hits + res.plan_cache_misses +
+                              res.collective_plan_hits + res.collective_plan_misses;
+  EXPECT_GE(plans, 8u) << leg;
+  EXPECT_EQ(reg.counter("fxpar_dist_plan_cache_hits_total") +
+                reg.counter("fxpar_dist_plan_cache_misses_total") +
+                reg.counter("fxpar_comm_collective_plan_hits_total") +
+                reg.counter("fxpar_comm_collective_plan_misses_total"),
+            plans)
+      << leg;
+  EXPECT_EQ(tr_plans, plans) << leg;
+}
+
+}  // namespace
+
+TEST(EventStream, SinksAgreeOnSim) {
+  FXPAR_SKIP_SIM_UNDER_TSAN();
+  expect_agreeing_sinks(ex::BackendKind::Sim);
+}
+
+TEST(EventStream, SinksAgreeOnThreads) { expect_agreeing_sinks(ex::BackendKind::Threads); }
+
+TEST(EventStream, SinksAgreeOnProc) {
+#ifdef FXPAR_TSAN
+  GTEST_SKIP() << "fork-per-rank backend is incompatible with ThreadSanitizer";
+#endif
+  expect_agreeing_sinks(ex::BackendKind::Proc);
+}
+
+// Directive spans reach the flight ring whenever it is on, traced or not.
+TEST(EventStream, FlightGetsDirectiveSpansWithTraceOff) {
+  FXPAR_SKIP_SIM_UNDER_TSAN();
+  namespace ap = fxpar::apps;
+  namespace ds = fxpar::dist;
+  auto cfg = MachineConfig::ideal(4);
+  cfg.flight_recorder = true;
+  cfg.trace = false;
+  mx::Machine m(cfg);
+  m.run([](mx::Context& ctx) {
+    fxpar::core::TaskPartition part(ctx, {{"left", 2}, {"right", 2}}, "split");
+    fxpar::core::TaskRegion region(ctx, part);
+    region.on("left", [] {});
+    region.on("right", [] {});
+    ds::DistArray<double> a(ctx, ds::Layout(ctx.group(), {16}, {ds::DimDist::block()}), "src");
+    ds::DistArray<double> b(ctx, ds::Layout(ctx.group(), {16}, {ds::DimDist::cyclic()}), "dst");
+    a.fill_value(2.0);
+    ds::assign(ctx, b, a);
+  });
+  std::vector<ap::PipelineStage<double>> stages(1);
+  stages[0].name = "stage0";
+  stages[0].in_layout = stages[0].out_layout = [](const fxpar::ProcessorGroup& g) {
+    return ds::Layout(g, {16}, {ds::DimDist::block()});
+  };
+  stages[0].run = [](mx::Context&, ds::DistArray<double>&, ds::DistArray<double>& o, int k) {
+    o.fill_value(static_cast<double>(k));
+  };
+  ap::run_stream_pipeline_on<double>(m, stages, {{0, 0, 4, 1}}, 2);
+
+  std::set<std::string> spans;
+  for (const obs::FlightEvent& e : m.flight()->snapshot()) {
+    if (e.kind == obs::FlightKind::Span) spans.insert(e.name);
+  }
+  for (const char* want : {"region:split", "on:left", "on:right", "assign:dst", "stage0"}) {
+    EXPECT_EQ(spans.count(want), 1u) << want;
+  }
+}
+
+// A forked rank's residue crosses a process boundary as one blob: every
+// strict prefix — including one that cuts through the flight events —
+// must throw before any consumer changes.
+TEST(EventStream, ResidueEveryStrictPrefixThrowsAndChangesNothing) {
+  struct Consumers {
+    std::unique_ptr<obs::RankWords[]> words = std::make_unique<obs::RankWords[]>(2);
+    fxpar::trace::TraceRecorder tracer{2, false};
+    fxpar::metrics::RuntimeMetrics metrics{2};
+    obs::FlightRecorder flight{2, 64, 30.0};
+    obs::Sink sink{2, words.get(), nullptr, [](int) { return 0.0; }, &tracer, &metrics, &flight};
+  };
+  Consumers child;
+  const obs::Sink::ForkMark mark = child.sink.fork_mark(1);
+  obs::Event send;
+  send.kind = obs::EventKind::Send;
+  send.rank = 1;
+  send.peer = 0;
+  send.t0 = send.t1 = 0.5;
+  send.bytes = 64;
+  send.key = 7;
+  EXPECT_NE(child.sink.emit(send), 0u);
+  obs::Event bar;
+  bar.kind = obs::EventKind::Barrier;
+  bar.rank = 1;
+  bar.peer = 0;
+  bar.t0 = 1.0;
+  bar.t1 = bar.ready = 1.5;
+  bar.cause_t = 1.2;
+  bar.key = 42;
+  bar.ref = 1;
+  child.sink.emit(bar);
+  const std::vector<std::byte> blob = child.sink.residue(1, mark);
+
+  Consumers parent;
+  ASSERT_NO_THROW(parent.sink.absorb_residue(blob.data(), blob.size()));
+  EXPECT_EQ(parent.flight.total_recorded(), 2u);  // the send and the barrier
+  EXPECT_EQ(parent.metrics.registry.snapshot().counter("fxpar_comm_messages_total"), 1u);
+  parent.tracer.finalize(2.0);
+  EXPECT_EQ(parent.tracer.messages().size(), 1u);
+
+  for (std::size_t n = 0; n < blob.size(); ++n) {
+    Consumers fresh;
+    EXPECT_THROW(fresh.sink.absorb_residue(blob.data(), n), std::runtime_error)
+        << "prefix " << n << " of " << blob.size();
+    EXPECT_EQ(fresh.flight.total_recorded(), 0u) << "prefix " << n;
+    EXPECT_EQ(fresh.metrics.registry.snapshot().counter("fxpar_comm_messages_total"), 0u)
+        << "prefix " << n;
+    fresh.tracer.finalize(2.0);
+    EXPECT_TRUE(fresh.tracer.messages().empty()) << "prefix " << n;
+    EXPECT_TRUE(fresh.tracer.barriers().empty()) << "prefix " << n;
+  }
 }

@@ -181,20 +181,10 @@ namespace ex = fxpar::exec;
 #endif
 #endif
 
-namespace {
-
-std::vector<int> iota_members(int n) {
-  std::vector<int> m(static_cast<std::size_t>(n));
-  std::iota(m.begin(), m.end(), 0);
-  return m;
-}
-
-}  // namespace
-
 TEST(CollectivePlan, TreeScheduleMatchesBinomialStructure) {
   for (int n : {1, 2, 3, 4, 5, 7, 8, 13}) {
     for (int root : {0, n / 2, n - 1}) {
-      const cp::TreeSchedule t = cp::build_tree_schedule(iota_members(n), root);
+      const cp::TreeSchedule t = cp::build_tree_schedule(n, root);
       ASSERT_EQ(static_cast<int>(t.nodes.size()), n);
       EXPECT_EQ(t.root, root);
       // The root has no parents; everyone else has exactly one of each.
@@ -226,7 +216,7 @@ TEST(CollectivePlan, TreeScheduleMatchesBinomialStructure) {
 }
 
 TEST(CollectivePlan, RootedScheduleListsPeersAscending) {
-  const cp::RootedSchedule r = cp::build_rooted_schedule(iota_members(5), 2);
+  const cp::RootedSchedule r = cp::build_rooted_schedule(5, 2);
   EXPECT_EQ(r.root, 2);
   EXPECT_EQ(r.peers, (std::vector<int>{0, 1, 3, 4}));
 }
@@ -264,10 +254,10 @@ TEST(PlanStore, SameKeyWordsUnderTwoKindsAreTwoEntries) {
   mx::Machine m(cfg(3));
   const std::vector<std::int64_t> words{0, 0, 1, 2};
   const auto tree = m.plan<cp::TreeSchedule>(words, [] {
-    return std::make_shared<const cp::TreeSchedule>(cp::build_tree_schedule({0, 1, 2}, 0));
+    return std::make_shared<const cp::TreeSchedule>(cp::build_tree_schedule(3, 0));
   });
   const auto rooted = m.plan<cp::RootedSchedule>(words, [] {
-    return std::make_shared<const cp::RootedSchedule>(cp::build_rooted_schedule({0, 1, 2}, 0));
+    return std::make_shared<const cp::RootedSchedule>(cp::build_rooted_schedule(3, 0));
   });
   EXPECT_NE(static_cast<const void*>(tree.get()), static_cast<const void*>(rooted.get()));
   EXPECT_EQ(m.plan_entries(mx::PlanKind::Tree), 1u);
@@ -287,8 +277,19 @@ TEST(PlanStore, PermutedMemberListsGetDistinctTreeSchedules) {
   const auto a = cp::tree_schedule(m, fwd, 0);
   const auto b = cp::tree_schedule(m, rev, 0);
   EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(a->members, fwd.members());
-  EXPECT_EQ(b->members, rev.members());
+  // The same binomial shape over two member orders: mapped through each
+  // group, the broadcast edges land on different physical pairs.
+  const auto edges = [](const cp::TreeSchedule& t, const pg::ProcessorGroup& g) {
+    std::set<std::pair<int, int>> out;
+    for (int v = 0; v < g.size(); ++v) {
+      for (int c : t.nodes[static_cast<std::size_t>(v)].bcast_children) {
+        out.insert({g.physical(v), g.physical(c)});
+      }
+    }
+    return out;
+  };
+  EXPECT_EQ(edges(*a, fwd), (std::set<std::pair<int, int>>{{0, 1}, {0, 2}}));
+  EXPECT_EQ(edges(*b, rev), (std::set<std::pair<int, int>>{{2, 1}, {2, 0}}));
   EXPECT_EQ(m.plan_entries(mx::PlanKind::Tree), 2u);
   EXPECT_EQ(cp::tree_schedule(m, rev, 0).get(), b.get());
 }

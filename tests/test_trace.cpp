@@ -17,6 +17,21 @@
 #include "trace/phase_report.hpp"
 #include "trace/trace.hpp"
 
+#if defined(__SANITIZE_THREAD__)
+#define FXPAR_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define FXPAR_TSAN 1
+#endif
+#endif
+
+#ifdef FXPAR_TSAN
+#define FXPAR_SKIP_SIM_UNDER_TSAN() \
+  GTEST_SKIP() << "simulator fibers (ucontext) are incompatible with ThreadSanitizer"
+#else
+#define FXPAR_SKIP_SIM_UNDER_TSAN() (void)0
+#endif
+
 namespace mx = fxpar::machine;
 namespace tr = fxpar::trace;
 
@@ -36,6 +51,10 @@ mx::MachineConfig test_config(int p) {
   c.stack_bytes = 128 * 1024;
   c.trace = true;
   return c;
+}
+
+int m_open_depth(mx::Context& ctx) {
+  return ctx.machine().tracer()->open_depth(ctx.phys_rank());
 }
 
 }  // namespace
@@ -88,23 +107,26 @@ TEST(Trace, FinalizeClosesOpenSpans) {
   EXPECT_EQ(rec.open_depth(0), 0);
 }
 
-TEST(Trace, ScopedSpanIsInertWhenDefaultConstructed) {
-  tr::ScopedSpan inert;  // no recorder attached: all operations are no-ops
+TEST(Trace, ScopeIsInertWhenDefaultConstructed) {
+  fxpar::obs::Scope inert;  // no sink attached: all operations are no-ops
   inert.close();
 
-  tr::TraceRecorder rec(1);
-  rec.set_clock([](int) { return 0.0; });
-  {
-    tr::ScopedSpan sp(&rec, 0);
-    rec.begin_span(0, "scoped", "test");
-    tr::ScopedSpan moved = std::move(sp);
+  mx::MachineConfig cfg = test_config(2);
+  cfg.backend = fxpar::exec::BackendKind::Threads;
+  mx::Machine m(cfg);
+  m.run([](mx::Context& ctx) {
+    const int root_only = m_open_depth(ctx);
+    fxpar::obs::Scope sp = ctx.span("scoped", "test");
+    EXPECT_EQ(m_open_depth(ctx), root_only + 1);
+    fxpar::obs::Scope moved = std::move(sp);
     moved.close();
     moved.close();  // idempotent
-    EXPECT_EQ(rec.open_depth(0), 0);
-  }
+    EXPECT_EQ(m_open_depth(ctx), root_only);
+  });
 }
 
 TEST(Trace, DisabledTracingIsNoOp) {
+  FXPAR_SKIP_SIM_UNDER_TSAN();
   mx::MachineConfig cfg = test_config(2);
   cfg.trace = false;
   mx::Machine m(cfg);
@@ -128,7 +150,34 @@ TEST(Trace, DisabledTracingIsNoOp) {
   EXPECT_DOUBLE_EQ(res2.finish_time, res.finish_time);
 }
 
+// Every worker records into its own rank's shard; finalize() merges them.
+TEST(Trace, ThreadedRunMergesEveryRankShard) {
+  mx::MachineConfig cfg = test_config(4);
+  cfg.backend = fxpar::exec::BackendKind::Threads;
+  mx::Machine m(cfg);
+  const mx::RunResult res = m.run([](mx::Context& ctx) {
+    const int p = ctx.nprocs();
+    const int me = ctx.phys_rank();
+    const auto sp = ctx.span("exchange", "test");
+    ctx.send_phys((me + 1) % p, 3, mx::Payload(16));
+    (void)ctx.recv_phys((me + p - 1) % p, 3);
+    ctx.barrier();
+  });
+  const tr::TraceRecorder& rec = *res.trace;
+  ASSERT_EQ(rec.messages().size(), 4u);
+  for (const tr::MessageRecord& msg : rec.messages()) {
+    EXPECT_EQ(msg.dst, (msg.src + 1) % 4);
+    EXPECT_GE(msg.recv_t, msg.send_t0);
+  }
+  ASSERT_EQ(rec.barriers().size(), 1u);
+  EXPECT_EQ(rec.barriers()[0].procs.size(), 4u);
+  int exchange = 0;
+  for (const tr::Span& s : rec.spans()) exchange += s.name == "exchange" ? 1 : 0;
+  EXPECT_EQ(exchange, 4);
+}
+
 TEST(Trace, MachineRunRecordsMessageEdges) {
+  FXPAR_SKIP_SIM_UNDER_TSAN();
   mx::Machine m(test_config(2));
   const mx::RunResult res = m.run([](mx::Context& ctx) {
     if (ctx.phys_rank() == 0) {
@@ -163,6 +212,7 @@ TEST(Trace, MachineRunRecordsMessageEdges) {
 }
 
 TEST(Trace, BarrierRecordsModeledLastArriver) {
+  FXPAR_SKIP_SIM_UNDER_TSAN();
   mx::Machine m(test_config(3));
   const mx::RunResult res = m.run([](mx::Context& ctx) {
     ctx.charge(ctx.phys_rank() == 1 ? 9.0 : 1.0);  // proc 1 arrives last
@@ -186,6 +236,7 @@ TEST(Trace, BarrierRecordsModeledLastArriver) {
 }
 
 TEST(Trace, ChromeExportIsValidJson) {
+  FXPAR_SKIP_SIM_UNDER_TSAN();
   mx::Machine m(test_config(2));
   const mx::RunResult res = m.run([](mx::Context& ctx) {
     auto sp = ctx.span("phase \"one\"\n", "test");  // needs escaping
@@ -207,6 +258,7 @@ TEST(Trace, ChromeExportIsValidJson) {
 }
 
 TEST(Trace, PhaseReportAggregatesNamedSpans) {
+  FXPAR_SKIP_SIM_UNDER_TSAN();
   mx::Machine m(test_config(2));
   const mx::RunResult res = m.run([](mx::Context& ctx) {
     {
@@ -254,7 +306,7 @@ TEST(Trace, CriticalPathOnHandBuiltTwoProcLog) {
   rec.add_busy(0, 1.1);
   clock[0] = 1.1;
   const std::uint64_t id = rec.message_sent(0, 1, 42, 64, 1.0, 1.1);
-  rec.message_received(id, 0.0, 1.2);
+  rec.message_received(id, 1, 0, 1.1, 0.0, 1.2);
   clock[1] = 1.2;
   rec.add_busy(1, 1.0);
   clock[1] = 2.2;
@@ -290,6 +342,7 @@ TEST(Trace, CriticalPathOnHandBuiltTwoProcLog) {
 }
 
 TEST(Trace, CriticalPathCrossesTaskRegions) {
+  FXPAR_SKIP_SIM_UNDER_TSAN();
   // Two subgroups; "slow" computes 4x longer, then a full barrier. The
   // critical path must run through on:slow, not on:fast.
   mx::MachineConfig cfg = test_config(4);
@@ -313,6 +366,7 @@ TEST(Trace, CriticalPathCrossesTaskRegions) {
 }
 
 TEST(Trace, IoWaitsAreSerializedAndAttributed) {
+  FXPAR_SKIP_SIM_UNDER_TSAN();
   mx::Machine m(test_config(2));
   const mx::RunResult res = m.run([](mx::Context& ctx) {
     ctx.io(10);  // both procs at t=0: device serializes them
@@ -329,7 +383,7 @@ TEST(Trace, IoWaitsAreSerializedAndAttributed) {
 }
 
 // ---------------------------------------------------------------------------
-// Steal / plan-cache span attribution and merged concurrent traces
+// Steal / plan-lookup span attribution and merged per-rank traces
 // ---------------------------------------------------------------------------
 
 TEST(Trace, StealAndPlanLookupEventsAttributeToOpenSpans) {
@@ -417,16 +471,16 @@ TEST(Trace, PhaseReportSurfacesStealAndPlanLookupCounters) {
   EXPECT_EQ(text.find("quiet", table), std::string::npos);
 }
 
-TEST(Trace, MergedConcurrentTraceCriticalPathWithSteals) {
-  // Hand-built two-worker trace, recorded through the concurrent-mode
-  // shards exactly as the threaded backend does: rank 0 produces over
-  // [0, 1.0] and deposits a message; rank 1 blocks on the receive until
-  // 1.2, then consumes over [1.2, 2.2], completing one stolen chunk on the
-  // way. After merge_concurrent() the analyzers must see one coherent run.
-  tr::TraceRecorder rec(2);
+TEST(Trace, MergedShardTraceCriticalPathWithSteals) {
+  // Hand-built two-worker trace on a real clock (busy = elapsed minus
+  // waits), recorded exactly as the threaded backend does: rank 0 produces
+  // over [0, 1.0] and deposits a message; rank 1 blocks on the receive
+  // until 1.2, then consumes over [1.2, 2.2], completing one stolen chunk
+  // on the way. After finalize() merges the per-rank shards, the analyzers
+  // must see one coherent run.
+  tr::TraceRecorder rec(2, /*charged_busy=*/false);
   double c[2] = {0.0, 0.0};
   rec.set_clock([&](int p) { return c[p]; });
-  rec.set_concurrent(2);
 
   rec.begin_span(0, "program", "root");
   rec.begin_span(0, "produce", "test");
@@ -436,7 +490,7 @@ TEST(Trace, MergedConcurrentTraceCriticalPathWithSteals) {
   rec.end_span(0);
 
   rec.begin_span(1, "program", "root");
-  rec.message_received_at(id, 1, 0, 1.0, 0.0, 1.2);
+  rec.message_received(id, 1, 0, 1.0, 0.0, 1.2);
   c[1] = 1.2;
   rec.begin_span(1, "consume", "test");
   rec.steal_event(1, 0, 16, 1.7);
@@ -444,7 +498,6 @@ TEST(Trace, MergedConcurrentTraceCriticalPathWithSteals) {
   rec.end_span(1);
   rec.end_span(1);
 
-  rec.merge_concurrent();
   rec.finalize(2.2);
 
   // Merged streams: the sender-shard message carries the receiver's
@@ -512,7 +565,6 @@ TEST(Trace, ShardEveryStrictPrefixThrows) {
   tr::TraceRecorder child(2);
   double t = 0.0;
   child.set_clock([&](int) { return t; });
-  child.set_concurrent(2);
   child.begin_span(1, "work", "test");
   t = 1.0;
   const auto id = child.message_sent(1, 0, 7, 64, 0.5, 0.5);
@@ -524,11 +576,9 @@ TEST(Trace, ShardEveryStrictPrefixThrows) {
   const auto blob = child.serialize_shard(1);
 
   tr::TraceRecorder parent(2);
-  parent.set_concurrent(2);
   EXPECT_NO_THROW(parent.absorb_shard(blob.data(), blob.size()));
   for (std::size_t n = 0; n < blob.size(); ++n) {
     tr::TraceRecorder fresh(2);
-    fresh.set_concurrent(2);
     EXPECT_THROW(fresh.absorb_shard(blob.data(), n), std::runtime_error)
         << "prefix " << n << " of " << blob.size();
   }
